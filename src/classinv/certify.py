@@ -21,6 +21,11 @@ dimension.  Group elements whose matrix is a scaled permutation act by
 monomial relabeling, and their combined constraint set is solved by a
 weighted union-find over monomial orbits before any row reduction
 happens; dense elements then cut the small surviving space.
+
+Every rank here is one sparse ``exact.Echelon`` over rows keyed by
+monomial: product spans and decompositions insert expanded products, and
+a dense element's cut inserts the rows (g - 1) v and keeps the relations
+among them as the surviving combinations.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .action import ActionContext, act, is_invariant
-from .exact import Matrix, ONE, ZERO, nullspace_basis, rref
+from .exact import Echelon, Matrix, ONE, ZERO, add_scaled, rref
 from .groups import (
     GroupElement,
     GroupSpec,
@@ -166,97 +171,6 @@ def generators_for(spec: GroupSpec, sig: SpaceSignature) -> list[GeneratorId]:
 
 
 # ---------------------------------------------------------------------------
-# row reduction over monomial-indexed sparse rows
-
-
-class RowReducer:
-    """Incremental echelon form over sparse rows keyed by monomial."""
-
-    def __init__(self):
-        self.pivots: dict[Monomial, dict] = {}
-
-    def reduce(self, row: dict) -> dict:
-        row = dict(row)
-        while row:
-            lead = max(row, key=grlex_key)
-            pivot = self.pivots.get(lead)
-            if pivot is None:
-                break
-            c = row[lead]
-            for m, v in pivot.items():
-                s = row.get(m, ZERO) - c * v
-                if s:
-                    row[m] = s
-                else:
-                    row.pop(m, None)
-        return row
-
-    def insert(self, row: dict) -> bool:
-        """Add a row; True if it was independent of the rows so far."""
-        r = self.reduce(row)
-        if not r:
-            return False
-        lead = max(r, key=grlex_key)
-        c = r[lead]
-        self.pivots[lead] = {m: v / c for m, v in r.items()}
-        return True
-
-    def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-class _ProductSolver:
-    # echelon rows carrying the combination of original products they equal
-    def __init__(self):
-        self.pivots: dict[Monomial, tuple[dict, dict]] = {}
-
-    def _reduce(self, row: dict, combo: dict) -> tuple[dict, dict]:
-        row = dict(row)
-        combo = dict(combo)
-        while row:
-            lead = max(row, key=grlex_key)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                break
-            prow, pcombo = hit
-            c = row[lead]
-            for m, v in prow.items():
-                s = row.get(m, ZERO) - c * v
-                if s:
-                    row[m] = s
-                else:
-                    row.pop(m, None)
-            for i, v in pcombo.items():
-                s = combo.get(i, ZERO) - c * v
-                if s:
-                    combo[i] = s
-                else:
-                    combo.pop(i, None)
-        return row, combo
-
-    def insert(self, row: dict, index: int) -> bool:
-        r, cb = self._reduce(row, {index: ONE})
-        if not r:
-            return False
-        lead = max(r, key=grlex_key)
-        c = r[lead]
-        self.pivots[lead] = (
-            {m: v / c for m, v in r.items()},
-            {i: v / c for i, v in cb.items()},
-        )
-        return True
-
-    def solve(self, row: dict) -> tuple[dict, dict]:
-        """Returns (residual, coeffs) with row = residual + sum coeffs*products."""
-        residual, cb = self._reduce(row, {})
-        return residual, {i: -c for i, c in cb.items()}
-
-
-# ---------------------------------------------------------------------------
 # generator products
 
 
@@ -298,11 +212,8 @@ def generator_products_basis(
             for _ in range(e):
                 p = p * g
         products.append((tuple(exps), p))
-    reducer = RowReducer()
-    independent = []
-    for idx, (_, p) in enumerate(products):
-        if reducer.insert(p.terms):
-            independent.append(idx)
+    echelon = Echelon()
+    independent = [idx for idx, (_, p) in enumerate(products) if echelon.insert(p.terms)]
     return ProductSpan(
         gens, tuple(products), tuple(independent), len(independent), len(products)
     )
@@ -422,49 +333,30 @@ def _orbit_kernel(monos: list[Monomial], varmaps: list) -> list[dict]:
 
 
 def _generic_cut(ctx: ActionContext, elem: GroupElement, vectors: list[dict]) -> list[dict]:
-    """Intersect the span of `vectors` with the kernel of act(elem) - id."""
-    if not vectors:
-        return vectors
-    sig = ctx.sig
-    support = sorted({m for v in vectors for m in v}, key=grlex_key, reverse=True)
+    """Intersect the span of `vectors` with the kernel of act(elem) - id.
+
+    Row i is (elem - 1) v_i, inserted into an Echelon with tag i.  Each row
+    that reduces to zero gives a relation sum c_i (elem - 1) v_i = 0, so
+    sum c_i v_i is fixed by elem, and the relations span every such
+    combination.  The vectors returned are independent but not canonical;
+    invariant_subspace_basis re-echelons each block once at the end.
+    """
     images = {
-        m: act(ctx, elem, Polynomial(sig, {m: ONE})).terms for m in support
+        m: act(ctx, elem, Polynomial(ctx.sig, {m: ONE})).terms
+        for m in {m for v in vectors for m in v}
     }
-    rows = []
-    for v in vectors:
+    echelon = Echelon()
+    for i, v in enumerate(vectors):
         w: dict = {}
         for m, c in v.items():
-            for m2, c2 in images[m].items():
-                s = w.get(m2, ZERO) + c * c2
-                if s:
-                    w[m2] = s
-                else:
-                    w.pop(m2, None)
-        for m, c in v.items():
-            s = w.get(m, ZERO) - c
-            if s:
-                w[m] = s
-            else:
-                w.pop(m, None)
-        rows.append(w)
-    cols = sorted({m for w in rows for m in w}, key=grlex_key, reverse=True)
-    if not cols:
-        return vectors
-    constraint = Matrix.from_rows(
-        [[row.get(m, ZERO) for row in rows] for m in cols]
-    )
-    combos = nullspace_basis(constraint)
+            add_scaled(w, c, images[m])
+        add_scaled(w, -ONE, v)
+        echelon.insert(w, i)
     out = []
-    for cvec in combos:
+    for relation in echelon.relations:
         nv: dict = {}
-        for ci, v in zip(cvec, vectors):
-            if ci:
-                for m, c in v.items():
-                    s = nv.get(m, ZERO) + ci * c
-                    if s:
-                        nv[m] = s
-                    else:
-                        nv.pop(m, None)
+        for i, c in relation.items():
+            add_scaled(nv, c, vectors[i])
         out.append(nv)
     return out
 
@@ -703,15 +595,16 @@ def decompose_in_generators(
         return GeneratorCombination(gens, (), sig)
     d = f.degree()
     span = generator_products_basis(spec, sig, d)
-    solver = _ProductSolver()
+    echelon = Echelon()
     for idx, (_, p) in enumerate(span.products):
-        solver.insert(p.terms, idx)
-    residual, coeffs = solver.solve(f.terms)
+        echelon.insert(p.terms, idx)
+    # f + sum combo[i] * product_i = residual
+    residual, combo = echelon.reduce(f.terms, {})
     if residual:
         raise NotInSpan(Polynomial(sig, residual), span.dim_span)
     terms = tuple(
         sorted(
-            ((span.products[i][0], c) for i, c in coeffs.items() if c),
+            ((span.products[i][0], -c) for i, c in combo.items()),
             key=lambda t: grlex_key(t[0]),
             reverse=True,
         )
@@ -771,21 +664,21 @@ def minimal_generator_degrees(
             raise KernelNotStabilized(
                 f"kernel at degree {d} did not stabilize; result would be unreliable"
             )
-        reducer = RowReducer()
+        echelon = Echelon()
         weights = [dg for dg, _ in found]
         for exps in _weighted_exponents(weights, d):
             p = Polynomial.constant(sig, 1)
             for (_, gpoly), e in zip(found, exps):
                 for _ in range(e):
                     p = p * gpoly
-            reducer.insert(p.terms)
-        new = kr.dim - reducer.rank
+            echelon.insert(p.terms)
+        new = kr.dim - echelon.rank
         assert new >= 0
         new_by_degree[d] = new
         if new:
             added = 0
             for b in kr.basis:
-                if reducer.insert(b.terms):
+                if echelon.insert(b.terms):
                     found.append((d, b))
                     added += 1
             assert added == new

@@ -1,14 +1,16 @@
-"""Exact rational scalars and dense rational matrix algebra.
+"""Exact rational scalars, dense rational matrices, sparse echelon forms.
 
 The base field is Q, realized by ``fractions.Fraction``: always reduced,
 positive denominator, zero stored as 0/1.  Everything downstream relies on
 these operations being exact; there is no floating point anywhere.
+Every exact elimination in the package runs through one sparse engine,
+``Echelon``; ``rref``, ``nullspace_basis`` and ``Matrix.det``,
+``Matrix.inverse`` and ``Matrix.rank`` are thin dense views of it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -168,28 +170,23 @@ class Matrix:
         return Matrix.from_rows([r[n:] for r in reduced])
 
     def det(self) -> Fraction:
+        """Product of the echelon pivots times the sign of their column order."""
         if self.rows != self.cols:
             raise DimensionMismatch("determinant needs a square matrix")
-        n = self.rows
-        rows = self.row_lists()
+        echelon = Echelon()
         det = ONE
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if rows[r][col]:
-                    piv = r
-                    break
-            if piv is None:
+        cols = []
+        for i in range(self.rows):
+            r = echelon.insert(_keyed(self.row(i)))
+            if not r:
                 return ZERO
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                det = -det
-            pval = rows[col][col]
-            det *= pval
-            for r in range(col + 1, n):
-                factor = rows[r][col] / pval
-                if factor:
-                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+            lead = max(r)
+            det *= r[lead]
+            cols.append(-lead)
+        for i, a in enumerate(cols):
+            for b in cols[i + 1 :]:
+                if a > b:
+                    det = -det
         return det
 
     def rank(self) -> int:
@@ -207,74 +204,115 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def _strip_row(row: list[Fraction]) -> list[Fraction]:
-    """Scale a row to primitive integer form (content 1), keeping sign."""
-    den = 1
-    for x in row:
-        if x:
-            den = den * x.denominator // gcd(den, x.denominator)
-    num = 0
-    for x in row:
-        if x:
-            num = gcd(num, abs(x.numerator * (den // x.denominator)))
-    if num == 0:
-        return [ZERO] * len(row)
-    scale = Fraction(den, num)
-    return [x * scale for x in row]
+def add_scaled(row: dict, c, other: dict) -> None:
+    """row += c * other, in place, dropping entries that cancel."""
+    for m, v in other.items():
+        s = row.get(m, ZERO) + c * v
+        if s:
+            row[m] = s
+        else:
+            row.pop(m, None)
+
+
+class Echelon:
+    """Incremental echelon form over sparse rows ``{column: value}``.
+
+    A row's pivot is its largest column key, and every pivot row is scaled
+    to a leading 1.  Keys are compared in their natural order.  For the
+    monomial-keyed rows of ``certify`` that is graded-lex order only
+    because every caller passes rows of a single degree, where tuple order
+    and graded-lex order agree.  ``rref`` keys column j as -j, so the
+    first nonzero entry leads.
+
+    A row inserted with a ``tag`` carries the combination of inserted rows
+    it equals.  When a tagged row reduces to zero, the combination
+    ``{tag: coefficient}`` of inserted rows that sums to the zero row is
+    appended to ``relations``; there are as many relations as tagged rows
+    minus the rank.  Tagged and untagged rows do not mix in one instance.
+    """
+
+    __slots__ = ("pivots", "relations")
+
+    def __init__(self):
+        self.pivots: dict = {}  # lead key -> (row, combination or None)
+        self.relations: list[dict] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, row: dict, combo: dict | None = None) -> tuple[dict, dict | None]:
+        """Cancel pivot leads until the lead of the row is no pivot.
+
+        Returns (remainder, combination): the remainder equals ``row``
+        plus the sum of combination[t] times inserted row t, where the
+        combination starts from ``combo`` (None tracks nothing).
+        """
+        row = dict(row)
+        if combo is not None:
+            combo = dict(combo)
+        while row:
+            lead = max(row)
+            hit = self.pivots.get(lead)
+            if hit is None:
+                break
+            c = -row[lead]
+            add_scaled(row, c, hit[0])
+            if combo is not None:
+                add_scaled(combo, c, hit[1])
+        return row, combo
+
+    def insert(self, row: dict, tag=None) -> dict:
+        """Add a row.  Returns its remainder after ``reduce``: nonempty
+        (the new pivot row, before scaling) when it was independent of the
+        rows so far, empty when it was not."""
+        row, combo = self.reduce(row, None if tag is None else {tag: ONE})
+        if not row:
+            if combo is not None:
+                self.relations.append(combo)
+            return row
+        lead = max(row)
+        inv = ONE / row[lead]
+        self.pivots[lead] = (
+            {m: v * inv for m, v in row.items()},
+            None if combo is None else {t: v * inv for t, v in combo.items()},
+        )
+        return row
+
+    def reduced_rows(self) -> list[dict]:
+        """Back-substitution: the reduced echelon rows, leading pivot first.
+
+        Every returned row is zero on the other rows' pivot columns; the
+        echelon form itself is left as it is.
+        """
+        done: dict = {}
+        for lead in sorted(self.pivots):
+            row = dict(self.pivots[lead][0])
+            for col in [m for m in row if m != lead and m in done]:
+                add_scaled(row, -row[col], done[col])
+            done[lead] = row
+        return [done[lead] for lead in sorted(done, reverse=True)]
+
+
+def _keyed(row: Sequence) -> dict:
+    # dense row -> sparse row whose first nonzero entry has the largest key
+    return {-j: x for j, x in enumerate(row) if x}
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form with first-nonzero pivoting.
 
     Returns (nonzero rows with pivot entries 1, pivot column indices).
-    Elimination uses integer cross-multiplication on content-stripped rows
-    so intermediate fractions never appear; pivots are normalized at the end.
     """
-    work = [_strip_row(list(r)) for r in rows]
-    work = [r for r in work if any(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots: list[int] = []
-    piv_rows: list[list[Fraction]] = []
-    for col in range(ncols):
-        target = None
-        for idx, r in enumerate(work):
-            if r[col]:
-                target = idx
-                break
-        if target is None:
-            continue
-        prow = work.pop(target)
-        pval = prow[col]
-        rest = []
-        for r in work:
-            rv = r[col]
-            if rv:
-                r = _strip_row([pval * a - rv * b for a, b in zip(r, prow)])
-            if any(r):
-                rest.append(r)
-        work = rest
-        pivots.append(col)
-        piv_rows.append(prow)
-        if not work:
-            break
-    # back-substitution, highest pivot row last
-    for i in range(len(piv_rows) - 1, -1, -1):
-        col = pivots[i]
-        prow = piv_rows[i]
-        pval = prow[col]
-        for j in range(i):
-            rv = piv_rows[j][col]
-            if rv:
-                piv_rows[j] = _strip_row(
-                    [pval * a - rv * b for a, b in zip(piv_rows[j], prow)]
-                )
-    out = []
-    for i, prow in enumerate(piv_rows):
-        pval = prow[pivots[i]]
-        out.append([a / pval for a in prow])
-    return out, pivots
+    echelon = Echelon()
+    for r in rows:
+        echelon.insert(_keyed(r))
+    ncols = len(rows[0]) if rows else 0
+    reduced = echelon.reduced_rows()
+    return (
+        [[r.get(-j, ZERO) for j in range(ncols)] for r in reduced],
+        [-max(r) for r in reduced],
+    )
 
 
 def nullspace_basis(m: Matrix) -> list[tuple[Fraction, ...]]:

@@ -180,11 +180,6 @@ class Polynomial:
         mono = tuple(1 if i == idx else 0 for i in range(sig.num_vars))
         return cls(sig, {mono: ONE})
 
-    @classmethod
-    def from_var_index(cls, sig: SpaceSignature, index: int) -> "Polynomial":
-        mono = tuple(1 if i == index else 0 for i in range(sig.num_vars))
-        return cls(sig, {mono: ONE})
-
     # -- ring structure --------------------------------------------------
 
     def _need_same_sig(self, other: "Polynomial") -> None:
