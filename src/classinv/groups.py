@@ -172,8 +172,16 @@ def sample_element(spec: GroupSpec, seed: int) -> GroupElement:
     """Deterministic exact sample; distinct seeds give independent draws."""
     rng = Random(seed)
     if spec.family == "o":
-        # I + S is invertible for every skew S, no resampling needed
-        g = cayley(_random_skew(rng, spec.n))
+        # I + S is invertible for every skew S.  A Cayley image with every
+        # entry in {0, 1, -1} is a signed permutation, which the
+        # small-integer elements already impose, so it is redrawn; for
+        # n = 1 every element is +-1 and there is nothing else to draw.
+        for _ in range(RESAMPLE_LIMIT):
+            g = cayley(_random_skew(rng, spec.n))
+            if spec.n == 1 or any(x not in (0, 1, -1) for x in g.entries):
+                break
+        else:
+            raise ResampleLimitExceeded("could not draw a non-permutation orthogonal element")
         if seed % 2:
             g = g @ _reflection(spec.n)
         return _element(spec, g)

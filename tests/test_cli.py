@@ -229,6 +229,29 @@ class TestGendeg:
         assert all(v == 0 for d, v in data["new_by_degree"].items() if d != "2")
 
 
+class TestOrthogonalPlaneSeeds:
+    # seeds whose O(2) sample streams once drew quarter turns and
+    # identities, leaving an oversized kernel behind the stop rule
+    @pytest.mark.parametrize("seed", ["96", "128"])
+    def test_gendeg_two_copies_bound_8(self, capsys, seed):
+        code, data, _ = run_json(
+            capsys,
+            "gendeg", "--group", "o", "--n", "2", "--vectors", "2",
+            "--degree-bound", "8", "--seed", seed,
+        )
+        assert code == 0
+        assert data["degrees"] == [2, 2, 2]
+
+    def test_fft_verify_one_copy_degree_4(self, capsys):
+        code, data, _ = run_json(
+            capsys,
+            "fft-verify", "--group", "o", "--n", "2", "--vectors", "1",
+            "--degree", "4", "--seed", "1688614853",
+        )
+        assert code == 0
+        assert data["certified"] is True
+
+
 class TestFiniteGroups:
     @pytest.fixture
     def sign_file(self, tmp_path):

@@ -127,6 +127,17 @@ class TestSampling:
             det = sample_element(spec, seed).g.det()
             assert det == (-1 if seed % 2 else 1)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_orthogonal_samples_are_not_signed_permutations(self, n):
+        # signed permutations cut nothing beyond the small-integer elements
+        for seed in range(200):
+            g = sample_element(orthogonal(n), seed).g
+            assert any(x not in (0, 1, -1) for x in g.entries)
+
+    def test_orthogonal_n1_samples_are_signs(self):
+        for seed in range(10):
+            assert sample_element(orthogonal(1), seed).g.entries == ((-1,) if seed % 2 else (1,))
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_symplectic_samples(self, n):
         spec = symplectic(n)
