@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .action import ActionContext, act, is_invariant
-from .exact import Echelon, Matrix, ONE, ZERO, add_scaled, rref
+from .exact import Echelon, Matrix, ONE, ZERO, add_scaled, ensure, rref
 from .groups import (
     GroupElement,
     GroupSpec,
@@ -417,7 +417,7 @@ def invariant_subspace_basis(
         block_bases = [_orbit_kernel(monos, mono_elems) for monos in blocks]
         samples_used += len(mono_elems)
         dim = sum(len(b) for b in block_bases)
-        assert dim <= history[-1]
+        ensure(dim <= history[-1], f"the orbit stage grew the kernel to {dim}")
         history.append(dim)
     else:
         block_bases = [[{m: ONE} for m in monos] for monos in blocks]
@@ -431,7 +431,7 @@ def invariant_subspace_basis(
             block_bases = [_generic_cut(ctx, e, vecs) for vecs in block_bases]
             samples_used += 1
             new_dim = sum(len(b) for b in block_bases)
-            assert new_dim <= dim
+            ensure(new_dim <= dim, f"a cut grew the kernel from {dim} to {new_dim}")
             dim = new_dim
             history.append(dim)
             if finished():
@@ -452,7 +452,7 @@ def invariant_subspace_basis(
             samples_used += 1
             block_bases = [_generic_cut(ctx, e, vecs) for vecs in block_bases]
             new_dim = sum(len(b) for b in block_bases)
-            assert new_dim <= dim
+            ensure(new_dim <= dim, f"a cut grew the kernel from {dim} to {new_dim}")
             stable_run = stable_run + 1 if new_dim == dim else 0
             dim = new_dim
             history.append(dim)
@@ -464,11 +464,11 @@ def invariant_subspace_basis(
         if not vecs:
             continue
         reduced, pivots = rref([[v.get(m, ZERO) for m in monos] for v in vecs])
-        assert len(pivots) == len(vecs)
+        ensure(len(pivots) == len(vecs), "a block basis lost rank in canonical form")
         for r in reduced:
             polys.append(Polynomial(sig, {m: c for m, c in zip(monos, r) if c}))
     polys.sort(key=lambda p: grlex_key(p.leading_monomial()), reverse=True)
-    assert len(polys) == dim
+    ensure(len(polys) == dim, f"{len(polys)} canonical vectors, kernel dimension {dim}")
     return KernelResult(
         basis=tuple(polys),
         dim=dim,
@@ -673,7 +673,7 @@ def minimal_generator_degrees(
                     p = p * gpoly
             echelon.insert(p.terms)
         new = kr.dim - echelon.rank
-        assert new >= 0
+        ensure(new >= 0, f"degree {d}: kernel {kr.dim} below product rank {echelon.rank}")
         new_by_degree[d] = new
         if new:
             added = 0
@@ -681,7 +681,7 @@ def minimal_generator_degrees(
                 if echelon.insert(b.terms):
                     found.append((d, b))
                     added += 1
-            assert added == new
+            ensure(added == new, f"degree {d}: {added} new generators, {new} expected")
     degrees = tuple(sorted(dg for dg, _ in found))
     return GeneratorDegreeReport(
         degrees=degrees, new_by_degree=new_by_degree, bound=bound, seed=seed

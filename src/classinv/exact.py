@@ -32,6 +32,16 @@ class SingularMatrixError(ValueError):
         super().__init__(f"singular matrix: rank {rank} < {size}")
 
 
+class ConsistencyError(RuntimeError):
+    """An exact identity a result rests on failed: a defect in classinv,
+    never bad input.  Raised explicitly, so the checks survive python -O."""
+
+
+def ensure(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConsistencyError(message)
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

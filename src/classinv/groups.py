@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
-from .exact import Matrix, ONE, ZERO, SingularMatrixError
+from .exact import Matrix, ONE, ZERO, SingularMatrixError, ensure
 
 RESAMPLE_LIMIT = 64
 DEFAULT_CLOSURE_CAP = 10_000
@@ -181,7 +181,7 @@ def sample_element(spec: GroupSpec, seed: int) -> GroupElement:
             if spec.n == 1 or any(x not in (0, 1, -1) for x in g.entries):
                 break
         else:
-            raise ResampleLimitExceeded("could not draw a non-permutation orthogonal element")
+            raise ResampleLimitExceeded("could not draw an orthogonal non-permutation")
         if seed % 2:
             g = g @ _reflection(spec.n)
         return _element(spec, g)
@@ -323,5 +323,5 @@ def small_integer_elements(spec: GroupSpec) -> list[GroupElement]:
     else:
         return list(group_elements(spec))
     for g in out:
-        assert contains(spec, g)
+        ensure(contains(spec, g), f"a built-in element is not in the {spec.family} group")
     return [_element(spec, g) for g in out]
