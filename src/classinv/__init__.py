@@ -7,7 +7,6 @@ from .certify import (
     GeneratorCombination,
     GeneratorDegreeReport,
     GeneratorId,
-    KernelNotStabilized,
     KernelResult,
     NotInSpan,
     NotInvariant,

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ONE
 from .groups import (
     GroupElement,
     GroupSpec,

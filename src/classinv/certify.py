@@ -6,13 +6,15 @@ whole group, exactly).  The kernel of the stacked constraints
 act(g, .) - id over any set of genuine group elements contains the true
 invariants.  So
 
-    span(products)  <=  invariants  <=  sampled kernel
+    span(products)  <=  invariants  <=  kernel
 
 holds unconditionally, and whenever dim_span = dim_kernel all three
 spaces coincide: the contractions span every invariant of that degree.
-That equality is an exact certificate, not a probabilistic statement;
-inequality is merely inconclusive (more elements may cut the kernel
-further).
+That equality is an exact certificate, not a probabilistic statement.
+The constraint set is `groups.small_integer_elements`, whose common
+fixed space is exactly the invariant space, so the kernel is the
+invariant space itself and inequality refutes the spanning claim at
+that degree.
 
 Kernels are computed block by block: the action rewrites each copy's
 coordinates within the copy, so the per-copy multidegree splits a graded
@@ -30,18 +32,12 @@ among them as the surviving combinations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .action import ActionContext, act, is_invariant
 from .exact import Echelon, Matrix, ONE, ZERO, add_scaled, ensure, rref
-from .groups import (
-    GroupElement,
-    GroupSpec,
-    group_elements,
-    sample_element,
-    small_integer_elements,
-)
+from .groups import GroupElement, GroupSpec, small_integer_elements
 from .poly import (
     DEFAULT_DIM_CAP,
     Monomial,
@@ -53,11 +49,6 @@ from .poly import (
     grlex_key,
     space_dimension,
 )
-
-MIN_SAMPLES = 5
-STABLE_NEEDED = 3
-MAX_SAMPLES = 48
-
 
 class NotInvariant(ValueError):
     pass
@@ -71,10 +62,6 @@ class NotInSpan(ValueError):
             f"polynomial is outside the span of generator products "
             f"(span dimension {dim_span}, nonzero residual of degree {residual.degree()})"
         )
-
-
-class KernelNotStabilized(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -365,45 +352,31 @@ def _generic_cut(ctx: ActionContext, elem: GroupElement, vectors: list[dict]) ->
 class KernelResult:
     basis: tuple  # Polynomials, canonical echelon form, leading-monomial order
     dim: int
-    samples_used: int
+    samples_used: int  # group elements imposed
     dim_history: tuple
-    stabilized: bool
 
 
 def invariant_subspace_basis(
     spec: GroupSpec,
     sig: SpaceSignature,
     d: int,
-    seed: int = 0,
     *,
     dim_cap: int = DEFAULT_DIM_CAP,
-    min_samples: int = MIN_SAMPLES,
-    stable_needed: int = STABLE_NEEDED,
-    max_samples: int = MAX_SAMPLES,
-    early_exit_dim: int | None = None,
 ) -> KernelResult:
-    """Exact basis of the degree-d polynomials fixed by the constraint set.
+    """Exact basis of the degree-d invariants.
 
-    Finite groups contribute every element, so the result is the true
-    invariant space.  The continuous families contribute deterministic
-    small-integer elements first, then seeded Cayley samples until the
-    dimension survives `stable_needed` consecutive samples (at least
-    `min_samples` of them, at most `max_samples`); the result always
-    contains the invariants, and `stabilized` records whether the
-    stopping rule was met.  `early_exit_dim` lets a caller that knows a
-    lower bound stop the moment the kernel reaches it.
+    The constraints are every element of a finite group, or the fixed
+    `small_integer_elements` of a classical family, whose common fixed
+    space is the invariant space.  The scaled permutations among them
+    go through the orbit stage, every other element through one cut.
     """
     check_dim_cap(sig, d, dim_cap)
     ctx = ActionContext(spec, sig)
     comps = list(_exponents_desc(sig.num_copies, d))
     blocks = [_block_monomials(sig, comp) for comp in comps]
     history = [space_dimension(sig, d)]
-    samples_used = 0
 
-    if spec.family == "finite":
-        elems = list(group_elements(spec))
-    else:
-        elems = small_integer_elements(spec)
+    elems = small_integer_elements(spec)
     mono_elems = []
     generic_elems = []
     for e in elems:
@@ -415,7 +388,6 @@ def invariant_subspace_basis(
 
     if mono_elems:
         block_bases = [_orbit_kernel(monos, mono_elems) for monos in blocks]
-        samples_used += len(mono_elems)
         dim = sum(len(b) for b in block_bases)
         ensure(dim <= history[-1], f"the orbit stage grew the kernel to {dim}")
         history.append(dim)
@@ -423,41 +395,12 @@ def invariant_subspace_basis(
         block_bases = [[{m: ONE} for m in monos] for monos in blocks]
         dim = history[0]
 
-    def finished() -> bool:
-        return early_exit_dim is not None and dim == early_exit_dim
-
-    if not finished():
-        for e in generic_elems:
-            block_bases = [_generic_cut(ctx, e, vecs) for vecs in block_bases]
-            samples_used += 1
-            new_dim = sum(len(b) for b in block_bases)
-            ensure(new_dim <= dim, f"a cut grew the kernel from {dim} to {new_dim}")
-            dim = new_dim
-            history.append(dim)
-            if finished():
-                break
-
-    stabilized = True
-    if spec.family != "finite" and not finished():
-        sampled = 0
-        stable_run = 0
-        while True:
-            if sampled >= min_samples and stable_run >= stable_needed:
-                break
-            if sampled >= max_samples:
-                stabilized = False
-                break
-            e = sample_element(spec, seed + sampled)
-            sampled += 1
-            samples_used += 1
-            block_bases = [_generic_cut(ctx, e, vecs) for vecs in block_bases]
-            new_dim = sum(len(b) for b in block_bases)
-            ensure(new_dim <= dim, f"a cut grew the kernel from {dim} to {new_dim}")
-            stable_run = stable_run + 1 if new_dim == dim else 0
-            dim = new_dim
-            history.append(dim)
-            if finished():
-                break
+    for e in generic_elems:
+        block_bases = [_generic_cut(ctx, e, vecs) for vecs in block_bases]
+        new_dim = sum(len(b) for b in block_bases)
+        ensure(new_dim <= dim, f"a cut grew the kernel from {dim} to {new_dim}")
+        dim = new_dim
+        history.append(dim)
 
     polys = []
     for monos, vecs in zip(blocks, block_bases):
@@ -472,9 +415,8 @@ def invariant_subspace_basis(
     return KernelResult(
         basis=tuple(polys),
         dim=dim,
-        samples_used=samples_used,
+        samples_used=len(elems),
         dim_history=tuple(history),
-        stabilized=stabilized,
     )
 
 
@@ -517,8 +459,9 @@ def fft_verify(
 
     certified=True is unconditional: the span is inside the invariants,
     the invariants are inside the computed kernel, and the outer
-    dimensions agree.  certified=False only means the sampled kernel has
-    not (yet) been cut down to the span.
+    dimensions agree.  The kernel is the invariant space itself, so
+    certified=False would mean the contractions miss an invariant.
+    `seed` is only echoed in the report.
     """
     if spec.family not in ("gl", "o", "sp"):
         raise ValueError("certification applies to the classical families only")
@@ -527,9 +470,7 @@ def fft_verify(
             "orthogonal and symplectic sessions use vector copies only"
         )
     span = generator_products_basis(spec, sig, d)
-    kr = invariant_subspace_basis(
-        spec, sig, d, seed, dim_cap=dim_cap, early_exit_dim=span.dim_span
-    )
+    kr = invariant_subspace_basis(spec, sig, d, dim_cap=dim_cap)
     return CertReport(
         group=spec,
         sig=sig,
@@ -642,7 +583,6 @@ def minimal_generator_degrees(
     seed: int = 0,
     *,
     dim_cap: int = DEFAULT_DIM_CAP,
-    degree_stride: int = 1009,
 ) -> GeneratorDegreeReport:
     """Degrees of a minimal generating set of the invariants, up to `bound`.
 
@@ -650,20 +590,15 @@ def minimal_generator_degrees(
     invariant dimension minus the rank of products of generators already
     found.  The degree multiset is independent of the choices made along
     the way; the basis vectors picked to extend the generator list are
-    merely one canonical realization.
+    merely one canonical realization.  `seed` is only echoed in the
+    report.
     """
     if bound < 1:
         raise ValueError("the degree bound must be at least 1")
     found: list[tuple[int, Polynomial]] = []
     new_by_degree: dict[int, int] = {}
     for d in range(1, bound + 1):
-        kr = invariant_subspace_basis(
-            spec, sig, d, seed + degree_stride * d, dim_cap=dim_cap
-        )
-        if not kr.stabilized:
-            raise KernelNotStabilized(
-                f"kernel at degree {d} did not stabilize; result would be unreliable"
-            )
+        kr = invariant_subspace_basis(spec, sig, d, dim_cap=dim_cap)
         echelon = Echelon()
         weights = [dg for dg, _ in found]
         for exps in _weighted_exponents(weights, d):

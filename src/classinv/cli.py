@@ -2,12 +2,14 @@
 
 Subcommands: check, basis, generators, fft-verify, decompose, gendeg,
 reynolds.  Exit code 0 means success (or a certificate), 2 means an
-inconclusive outcome (uncertified verification, unstabilized kernel, or
-a refuted invariance check), 1 means an error.
+inconclusive outcome (an uncertified verification or a refuted
+invariance check), 1 means an error.
 
-Reports are deterministic: the same command line with the same seed
-produces byte-identical output.  Timing is therefore opt-in via
---timing, which appends an elapsed_ms field.
+Kernels, bases, certificates and generator degrees are exact and do not
+depend on --seed, which only picks the sampled elements of check and
+decompose.  Reports are deterministic: the same command line produces
+byte-identical output.  Timing is therefore opt-in via --timing, which
+appends an elapsed_ms field.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from fractions import Fraction
 
 from .action import ActionContext, is_invariant, reynolds
 from .certify import (
-    KernelNotStabilized,
     NotInSpan,
     NotInvariant,
     contraction,
@@ -266,7 +267,7 @@ def emit(out: dict, args, text_overrides: dict | None = None) -> None:
 
 def cmd_check(args) -> int:
     spec, sig = make_session(args)
-    f = parse_expression(args.expr, sig, spec.family)
+    f = parse_expression(args.expr, sig, spec.family, dim_cap=args.dim_cap)
     ctx = ActionContext(spec, sig)
     t0 = time.monotonic()
     invariant = is_invariant(ctx, f, samples=args.samples, seed=args.seed)
@@ -290,9 +291,7 @@ def cmd_basis(args) -> int:
     if spec.family in ("o", "sp") and sig.k:
         raise CliError("orthogonal and symplectic sessions use vector copies only")
     t0 = time.monotonic()
-    kr = invariant_subspace_basis(
-        spec, sig, args.degree, args.seed, dim_cap=args.dim_cap
-    )
+    kr = invariant_subspace_basis(spec, sig, args.degree, dim_cap=args.dim_cap)
     elapsed = int((time.monotonic() - t0) * 1000)
     out = {
         **_prefix(spec, sig),
@@ -300,14 +299,13 @@ def cmd_basis(args) -> int:
         "dim_space": space_dimension(sig, args.degree),
         "dim_kernel": kr.dim,
         "basis": [poly_json(p) for p in kr.basis],
-        "stabilized": kr.stabilized,
         "samples_used": kr.samples_used,
         "seed": args.seed,
     }
     if args.timing:
         out["elapsed_ms"] = elapsed
     emit(out, args, {"basis": [format_polynomial(p) for p in kr.basis]})
-    return EXIT_OK if kr.stabilized else EXIT_INCONCLUSIVE
+    return EXIT_OK
 
 
 def cmd_generators(args) -> int:
@@ -360,7 +358,7 @@ def cmd_fft_verify(args) -> int:
 
 def cmd_decompose(args) -> int:
     spec, sig = make_session(args)
-    f = parse_expression(args.expr, sig, spec.family)
+    f = parse_expression(args.expr, sig, spec.family, dim_cap=args.dim_cap)
     comb = decompose_in_generators(
         spec, sig, f, samples=args.samples, seed=args.seed
     )
@@ -400,7 +398,7 @@ def cmd_reynolds(args) -> int:
     spec, sig = make_session(args)
     if spec.family != "finite":
         raise CliError("the projection onto invariants needs a finite group")
-    f = parse_expression(args.expr, sig, spec.family)
+    f = parse_expression(args.expr, sig, spec.family, dim_cap=args.dim_cap)
     ctx = ActionContext(spec, sig)
     result = reynolds(ctx, f)
     out = {
@@ -422,9 +420,6 @@ def main(argv=None) -> int:
         return EXIT_OK if e.code == 0 else EXIT_ERROR
     try:
         return args.handler(args)
-    except KernelNotStabilized as e:
-        print(f"inconclusive: {e}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except (
         CliError,
         ExprSyntaxError,

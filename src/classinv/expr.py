@@ -15,6 +15,8 @@ both are 1-based.  c(i,j), s(i,j), w(i,j) expand to the dual-pairing,
 symmetric-form, and alternating-form contractions and must match the
 session's group family.  Formatting emits graded-lex term order and
 round-trips: parsing a formatted polynomial recovers it exactly.
+Before a product or a power is expanded, the dimension of the degree
+piece it would reach is checked against the dimension cap.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .certify import GeneratorCombination, GeneratorId, contraction
-from .poly import Polynomial, SpaceSignature, VarKind
+from .poly import DEFAULT_DIM_CAP, Polynomial, SpaceSignature, VarKind, check_dim_cap
 
 _SHORTHAND_FAMILY = {"c": "gl", "s": "o", "w": "sp"}
 _FAMILY_NAME = {"gl": "general linear", "o": "orthogonal", "sp": "symplectic"}
@@ -68,11 +70,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, sig: SpaceSignature, family: str):
+    def __init__(self, text: str, sig: SpaceSignature, family: str, dim_cap: int):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.sig = sig
         self.family = family
+        self.dim_cap = dim_cap
 
     def _peek(self) -> tuple:
         return self.tokens[self.pos]
@@ -113,7 +116,10 @@ class _Parser:
         acc = self.base_factor()
         while self._peek()[0] == "*":
             self._take()
-            acc = acc * self.base_factor()
+            factor = self.base_factor()
+            if acc and factor:
+                check_dim_cap(self.sig, acc.degree() + factor.degree(), self.dim_cap)
+            acc = acc * factor
         return acc
 
     def base_factor(self) -> Polynomial:
@@ -124,6 +130,8 @@ class _Parser:
             if tok[0] == "-":
                 raise ExprSyntaxError("negative exponent", tok[2])
             exp = self._expect("int", "a nonnegative integer exponent")
+            if b:
+                check_dim_cap(self.sig, b.degree() * exp[1], self.dim_cap)
             return b ** exp[1]
         return b
 
@@ -185,10 +193,14 @@ class _Parser:
         raise ExprSyntaxError(f"unknown name {name!r}", off)
 
 
-def parse_expression(text: str, sig: SpaceSignature, family: str) -> Polynomial:
+def parse_expression(
+    text: str, sig: SpaceSignature, family: str, dim_cap: int = DEFAULT_DIM_CAP
+) -> Polynomial:
     """Parse an expression over the session signature; shorthands must
-    match the session's group family.  Syntax errors carry a byte offset."""
-    return _Parser(text, sig, family).parse()
+    match the session's group family.  Syntax errors carry a byte offset;
+    a product or power whose degree piece exceeds `dim_cap` raises
+    DegreeCapExceeded before it is expanded."""
+    return _Parser(text, sig, family, dim_cap).parse()
 
 
 def _format_terms(items) -> str:

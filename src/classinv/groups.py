@@ -274,11 +274,19 @@ def _transpositions(n: int):
 
 
 def small_integer_elements(spec: GroupSpec) -> list[GroupElement]:
-    """Deterministic exact group elements with tiny integer entries.
+    """Fixed exact group elements whose invariants are the group's.
 
-    These seed the invariance constraints before any random sampling:
-    each is a genuine group element, so the constraints they impose are
-    sound, and their sparsity keeps the first eliminations cheap.
+    The signed (block) permutations among them generate the Weyl group
+    W.  Every other element generates a one-parameter subgroup up to
+    Zariski closure: the shears and the symplectic transvection
+    I + J v v^T (v = e1 + e3) are unipotent, and the 3-4-5 rotation has
+    infinite order because (3 + 4i)/5 is not a root of unity.  A vector
+    fixed by W and by such an element is therefore killed by the W-orbit
+    of its Lie-algebra direction, and those orbits span sl(n), so(n) and
+    sp(n).  diag(2, 1, ...) adds the torus of GL and the sign diagonals
+    the determinant -1 of O(n), so the common fixed space of this list is
+    exactly the invariant space.  For a finite group the list is every
+    element.
     """
     n = spec.n
     out: list[Matrix] = []
@@ -292,6 +300,11 @@ def small_integer_elements(spec: GroupSpec) -> list[GroupElement]:
         out.extend(_transpositions(n))
         for t in _transpositions(n):
             out.append(_reflection(n) @ t)
+        if n >= 2:
+            rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+            rows[0][0] = rows[1][1] = Fraction(3, 5)
+            rows[0][1], rows[1][0] = Fraction(-4, 5), Fraction(4, 5)
+            out.append(Matrix.from_rows(rows))
     elif spec.family == "sp":
         half = n // 2
         kappa = Matrix.from_rows([[ZERO, ONE], [-ONE, ZERO]])
@@ -311,6 +324,11 @@ def small_integer_elements(spec: GroupSpec) -> list[GroupElement]:
                 perm[2 * p], perm[2 * q] = perm[2 * q], perm[2 * p]
                 perm[2 * p + 1], perm[2 * q + 1] = perm[2 * q + 1], perm[2 * p + 1]
                 out.append(_perm_matrix(n, perm))
+        if n >= 4:
+            vvT = Matrix.from_rows(
+                [[ONE if i in (0, 2) and j in (0, 2) else ZERO for j in range(n)] for i in range(n)]
+            )
+            out.append(Matrix.identity(n) + symplectic_form_matrix(n) @ vvT)
     elif spec.family == "gl":
         out.extend(_transpositions(n))
         rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .exact import Matrix, ZERO, ONE, _as_fraction
 

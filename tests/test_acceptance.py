@@ -90,7 +90,7 @@ def test_criterion_2_oracle_spot_dimensions():
         ("o", orthogonal(2), SpaceSignature(n=2, k=0, m=1), 1, 0),
     ]
     for family, spec, sig, d, expected in cases:
-        dim = invariant_subspace_basis(spec, sig, d, seed=1).dim
+        dim = invariant_subspace_basis(spec, sig, d).dim
         ref = invariant_dimension(family, sig.n, sig.k, sig.m, d, seed=1)
         assert dim == ref == expected, (family, sig, d, dim, ref)
 

@@ -133,6 +133,28 @@ class TestCheck:
         )
         assert code == 1
 
+    # powers whose expansion would not finish: the cap rejects them
+    # before anything is expanded
+    @pytest.mark.parametrize("expr", ["x[1,1]^99999999999", "s(1,1)^200"])
+    def test_huge_power_hits_the_dim_cap(self, capsys, expr):
+        code, _, err = run(
+            capsys,
+            "check", "--group", "o", "--n", "2", "--vectors", "2",
+            "--expr", expr,
+        )
+        assert code == 1
+        assert "above the cap" in err
+
+    @pytest.mark.parametrize("command", ["check", "decompose"])
+    def test_dim_cap_flag_bounds_products(self, capsys, command):
+        code, _, err = run(
+            capsys,
+            command, "--group", "o", "--n", "2", "--vectors", "2",
+            "--expr", "s(1,1)*s(2,2)*s(1,2)", "--dim-cap", "50",
+        )
+        assert code == 1
+        assert "above the cap 50" in err
+
 
 class TestBasis:
     def test_sum_of_squares(self, capsys):
@@ -143,7 +165,6 @@ class TestBasis:
         )
         assert code == 0
         assert data["dim_kernel"] == 1
-        assert data["stabilized"] is True
         (b,) = data["basis"]
         assert b == [
             {"monomial": [["x[1,1]", 2]], "coeff": "1"},
@@ -159,6 +180,23 @@ class TestBasis:
         assert code == 0
         assert "x[1,1]^2 + x[1,2]^2" in out
         assert "dim_kernel" in out
+
+    @pytest.mark.parametrize(
+        "session",
+        [
+            ["--group", "o", "--n", "3", "--vectors", "2"],
+            ["--group", "sp", "--n", "4", "--vectors", "3"],
+            ["--group", "gl", "--n", "2", "--covectors", "2", "--vectors", "2"],
+        ],
+        ids=["o3-m2", "sp4-m3", "gl2-k2-m2"],
+    )
+    def test_seed_does_not_change_the_report(self, capsys, session):
+        outputs = []
+        for seed in ("0", "12345"):
+            code, out, _ = run(capsys, "basis", *session, "--degree", "4", "--seed", seed)
+            assert code == 0
+            outputs.append([line for line in out.splitlines() if not line.startswith("seed ")])
+        assert outputs[0] == outputs[1]
 
 
 class TestGenerators:

@@ -24,6 +24,24 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # re-exports the public API
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
 def test_a_cut_that_grows_the_kernel_is_an_error(monkeypatch):
     def growing_cut(ctx, elem, vectors):
         return vectors + [dict(vectors[0])] if vectors else vectors

@@ -6,7 +6,6 @@ import pytest
 from classinv.action import ActionContext, act, is_invariant
 from classinv.certify import (
     GeneratorId,
-    KernelNotStabilized,
     NotInSpan,
     NotInvariant,
     contraction,
@@ -209,7 +208,6 @@ class TestKernel:
         sig = SpaceSignature(n=2, k=0, m=1)
         res = invariant_subspace_basis(orthogonal(2), sig, 2)
         assert res.dim == 1
-        assert res.stabilized
         (f,) = res.basis
         x, y = vvar(sig, 1, 1), vvar(sig, 1, 2)
         assert f == x * x + y * y
@@ -221,7 +219,7 @@ class TestKernel:
 
     def test_dim_history_monotone(self):
         sig = SpaceSignature(n=2, k=0, m=2)
-        res = invariant_subspace_basis(orthogonal(2), sig, 4, seed=3)
+        res = invariant_subspace_basis(orthogonal(2), sig, 4)
         hist = list(res.dim_history)
         assert hist == sorted(hist, reverse=True)
         assert hist[-1] == res.dim
@@ -231,7 +229,6 @@ class TestKernel:
         sig = SpaceSignature(n=2, k=0, m=1)
         res = invariant_subspace_basis(spec, sig, 2)
         assert res.dim == space_dimension(sig, 2)
-        assert res.stabilized
 
     def test_sign_group_keeps_even_monomials(self):
         spec = finite_group([Matrix.from_rows([[Fraction(-1)]])])
@@ -244,19 +241,13 @@ class TestKernel:
             (orthogonal(2), SpaceSignature(n=2, k=0, m=2)),
             (symplectic(2), SpaceSignature(n=2, k=0, m=2)),
             (general_linear(2), SpaceSignature(n=2, k=1, m=1)),
+            (symplectic(4), SpaceSignature(n=4, k=0, m=3)),
+            (orthogonal(3), SpaceSignature(n=3, k=0, m=2)),
         ]:
             ctx = ActionContext(spec, sig)
-            res = invariant_subspace_basis(spec, sig, 2, seed=11)
+            res = invariant_subspace_basis(spec, sig, 2)
             for f in res.basis:
                 assert is_invariant(ctx, f, samples=6, seed=99)
-
-    def test_seed_changes_samples_not_answer(self):
-        sig = SpaceSignature(n=2, k=0, m=2)
-        a = invariant_subspace_basis(orthogonal(2), sig, 2, seed=0)
-        b = invariant_subspace_basis(orthogonal(2), sig, 2, seed=12345)
-        assert a.dim == b.dim == 3
-        # canonical echelon form: same subspace, same basis
-        assert a.basis == b.basis
 
 
 class TestOracleAgreement:
@@ -277,7 +268,7 @@ class TestOracleAgreement:
     def test_kernel_dim_matches_oracle(self, family, n, k, m, d, expected):
         spec = {"o": orthogonal, "sp": symplectic, "gl": general_linear}[family](n)
         sig = SpaceSignature(n=n, k=k, m=m)
-        res = invariant_subspace_basis(spec, sig, d, seed=5)
+        res = invariant_subspace_basis(spec, sig, d)
         ref = invariant_dimension(family, n, k, m, d, seed=5)
         assert res.dim == ref == expected
 

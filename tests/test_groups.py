@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from classinv.exact import Matrix, SingularMatrixError
+from classinv.certify import _scaled_permutation
+from classinv.exact import Echelon, Matrix, SingularMatrixError
 from classinv.groups import (
     ClosureCapExceeded,
     GroupSpec,
@@ -228,3 +229,64 @@ class TestSmallIntegerElements:
         assert (Fraction(-1), Fraction(1)) in diag_signs
         assert (Fraction(1), Fraction(-1)) in diag_signs
         assert (Fraction(-1), Fraction(-1)) in diag_signs
+
+
+def _lie_closure_dim(spec: GroupSpec) -> int:
+    """Dimension of the Lie algebra generated by the W-conjugates of the
+    one-parameter directions of the non-monomial built-in elements, where
+    W is generated by the built-in signed permutations."""
+    n = spec.n
+    eye = Matrix.identity(n)
+    els = small_integer_elements(spec)
+    weyl, queue = [], []  # queue starts with the one-parameter directions
+    for el in els:
+        perm = _scaled_permutation(el.g)
+        if perm is not None:
+            # a Weyl or torus element, no direction of its own
+            if set(perm[1]) <= {1, -1}:
+                weyl.append(el)
+            continue
+        x = el.g - eye
+        if x @ x == Matrix.zero(n, n):
+            queue.append(x)  # unipotent: g = exp(g - I)
+        else:
+            # the 3-4-5 rotation: not unipotent, and its log is an
+            # irrational multiple of E21 - E12; it has infinite order, so
+            # its Zariski closure is the rotation group of the (1,2)
+            # plane, whose Lie algebra E21 - E12 spans
+            assert spec.family == "o"
+            assert el.g.at(0, 0) == Fraction(3, 5) and el.g.at(1, 0) == Fraction(4, 5)
+            rows = [[0] * n for _ in range(n)]
+            rows[1][0], rows[0][1] = 1, -1
+            queue.append(mat(rows))
+    echelon = Echelon()
+    basis = []
+    while queue:
+        y = queue.pop()
+        if not echelon.insert({(i, j): y.at(i, j) for i in range(n) for j in range(n) if y.at(i, j)}):
+            continue
+        basis.append(y)
+        queue.extend(w.g @ y @ w.g_inv for w in weyl)
+        queue.extend(y @ z - z @ y for z in basis)
+    return echelon.rank
+
+
+class TestCompleteness:
+    """The common fixed space of the built-in elements is the invariant
+    space: their one-parameter directions generate the Lie algebra, GL
+    adds its torus and O(n) an element of determinant -1."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_gl(self, n):
+        assert _lie_closure_dim(general_linear(n)) == n * n - 1
+        torus = mat([[2 if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+        assert any(el.g == torus for el in small_integer_elements(general_linear(n)))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_o(self, n):
+        assert _lie_closure_dim(orthogonal(n)) == n * (n - 1) // 2
+        assert any(el.g.det() == -1 for el in small_integer_elements(orthogonal(n)))
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_sp(self, n):
+        assert _lie_closure_dim(symplectic(n)) == n * (n + 1) // 2
