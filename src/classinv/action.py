@@ -19,9 +19,8 @@ from .groups import (
     GroupElement,
     GroupSpec,
     NotFiniteGroup,
-    _reflection,
     group_elements,
-    sample_element,
+    small_integer_elements,
 )
 from .poly import Polynomial, SpaceSignature, VarKind
 
@@ -77,33 +76,17 @@ def transform_point(ctx: ActionContext, elem: GroupElement, point) -> list:
     return out
 
 
-def is_invariant(
-    ctx: ActionContext, f: Polynomial, samples: int = 8, seed: int = 0
-) -> bool:
-    """No-counterexample test for invariance.
+def is_invariant(ctx: ActionContext, f: Polynomial) -> bool:
+    """Decide invariance exactly.
 
-    Finite groups are checked against every element, which decides the
-    question.  For the continuous families the check runs over `samples`
-    seeded draws; a True answer means no sampled element moved f, a
-    False answer is a definite refutation.  The orthogonal stream always
-    includes the determinant -1 reflection so the full group is probed,
-    not just the rotation component.
+    f is tested against every element of `small_integer_elements`, whose
+    common fixed space is exactly the invariant space (for a finite
+    group the list is every element), so True is a proof and False a
+    refutation by the first element that moves f.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     if f.sig != ctx.sig:
         raise ValueError("polynomial signature does not match the context")
-    if ctx.spec.family == "finite":
-        return all(act(ctx, e, f) == f for e in group_elements(ctx.spec))
-    if ctx.spec.family == "o":
-        refl = _reflection(ctx.spec.n)
-        if act(ctx, GroupElement(refl, refl), f) != f:
-            return False
-    for i in range(samples):
-        e = sample_element(ctx.spec, seed + i)
-        if act(ctx, e, f) != f:
-            return False
-    return True
+    return all(act(ctx, e, f) == f for e in small_integer_elements(ctx.spec))
 
 
 def reynolds(ctx: ActionContext, f: Polynomial) -> Polynomial:

@@ -514,11 +514,11 @@ def decompose_in_generators(
     spec: GroupSpec,
     sig: SpaceSignature,
     f: Polynomial,
-    *,
-    samples: int = 8,
-    seed: int = 0,
 ) -> GeneratorCombination:
     """Write a homogeneous invariant as a polynomial in the contractions.
+
+    Invariance is decided first, exactly, by `action.is_invariant`; a
+    polynomial moved by a group element raises NotInvariant.
 
     Relations make representations non-unique; the returned one is
     canonical: products are eliminated in graded-lex order and every
@@ -529,8 +529,8 @@ def decompose_in_generators(
     if not f.is_homogeneous():
         raise ValueError("decomposition needs a homogeneous polynomial")
     ctx = ActionContext(spec, sig)
-    if not is_invariant(ctx, f, samples=samples, seed=seed):
-        raise NotInvariant("polynomial is moved by a sampled group element")
+    if not is_invariant(ctx, f):
+        raise NotInvariant("polynomial is moved by a group element")
     gens = tuple(generators_for(spec, sig))
     if not f:
         return GeneratorCombination(gens, (), sig)

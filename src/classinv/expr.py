@@ -16,7 +16,8 @@ symmetric-form, and alternating-form contractions and must match the
 session's group family.  Formatting emits graded-lex term order and
 round-trips: parsing a formatted polynomial recovers it exactly.
 Before a product or a power is expanded, the dimension of the degree
-piece it would reach is checked against the dimension cap.
+piece it would reach, and the bit length its coefficients would reach,
+are checked against the dimension cap.
 """
 
 from __future__ import annotations
@@ -116,9 +117,11 @@ class _Parser:
         acc = self.base_factor()
         while self._peek()[0] == "*":
             self._take()
+            tok = self._peek()
             factor = self.base_factor()
             if acc and factor:
                 check_dim_cap(self.sig, acc.degree() + factor.degree(), self.dim_cap)
+                self._check_bits(_coefficient_bits(acc) + _coefficient_bits(factor), tok[2])
             acc = acc * factor
         return acc
 
@@ -132,8 +135,17 @@ class _Parser:
             exp = self._expect("int", "a nonnegative integer exponent")
             if b:
                 check_dim_cap(self.sig, b.degree() * exp[1], self.dim_cap)
+                self._check_bits(_coefficient_bits(b) * exp[1], exp[2])
             return b ** exp[1]
         return b
+
+    def _check_bits(self, bits: int, off: int) -> None:
+        # a degree-0 power such as 2^99999999999 passes the dimension
+        # cap, so coefficient growth is bounded by the same cap, in bits
+        if bits > self.dim_cap:
+            raise ExprSyntaxError(
+                f"coefficients would reach {bits} bits, above the cap {self.dim_cap}", off
+            )
 
     def base(self) -> Polynomial:
         tok = self._take()
@@ -193,13 +205,18 @@ class _Parser:
         raise ExprSyntaxError(f"unknown name {name!r}", off)
 
 
+def _coefficient_bits(p: Polynomial) -> int:
+    return max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p.terms.values())
+
+
 def parse_expression(
     text: str, sig: SpaceSignature, family: str, dim_cap: int = DEFAULT_DIM_CAP
 ) -> Polynomial:
     """Parse an expression over the session signature; shorthands must
     match the session's group family.  Syntax errors carry a byte offset;
     a product or power whose degree piece exceeds `dim_cap` raises
-    DegreeCapExceeded before it is expanded."""
+    DegreeCapExceeded, and one whose coefficients would pass `dim_cap`
+    bits raises ExprSyntaxError, before it is expanded."""
     return _Parser(text, sig, family, dim_cap).parse()
 
 

@@ -5,11 +5,12 @@ the orthogonal group of the standard symmetric form, the symplectic
 group of the standard alternating form (n even), and finite groups given
 by a list of generating matrices.
 
-Samplers return exact rational matrices together with their inverses.
-Orthogonal and symplectic elements come from the Cayley transform
-g = (I - S)(I + S)^-1 with S a small random integer matrix in the Lie
-algebra, so membership holds identically, not just numerically.  A
-reflection is mixed in for odd seeds so orthogonal sample streams hit
+The library decides everything with the fixed exact elements of
+`small_integer_elements`.  The seeded samplers serve the tests only, as
+an independent cross-check: they return exact rational matrices with
+their inverses, orthogonal and symplectic ones from the Cayley transform
+g = (I - S)(I + S)^-1 of a small random integer S in the Lie algebra,
+and a reflection is mixed in for odd seeds so orthogonal streams hit
 both determinant signs.
 """
 

@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from classinv import certify
 from classinv.action import ActionContext, act, is_invariant, reynolds, transform_point
-from classinv.exact import Matrix
+from classinv.certify import contraction, generators_for
+from classinv.exact import ONE, Matrix
 from classinv.groups import (
     GroupElement,
     NotFiniteGroup,
@@ -12,9 +15,10 @@ from classinv.groups import (
     general_linear,
     orthogonal,
     sample_element,
+    small_integer_elements,
     symplectic,
 )
-from classinv.poly import Polynomial, SpaceSignature, VarKind
+from classinv.poly import Polynomial, SpaceSignature, VarKind, _exponents_desc
 
 from test_poly import rand_poly
 
@@ -161,11 +165,18 @@ class TestIsInvariant:
         assert not is_invariant(ctx, x)
 
     def test_reflection_always_probed(self):
-        # x*y survives every rotation but not the reflection; one sample
-        # must still refute it
-        ctx = ActionContext(orthogonal(1), SpaceSignature(n=1, k=0, m=1))
-        x = Polynomial.variable(ctx.sig, VarKind.VECTOR, 1, 1)
-        assert not is_invariant(ctx, x, samples=1, seed=0)
+        # det(x_1, ..., x_n) survives every rotation but not a reflection
+        for n in (1, 2, 3):
+            ctx = ActionContext(orthogonal(n), SpaceSignature(n=n, k=0, m=n))
+            f = Polynomial.zero(ctx.sig)
+            for perm in itertools.permutations(range(n)):
+                sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+                term = Polynomial.constant(ctx.sig, Fraction(sign))
+                for i, a in enumerate(perm):
+                    term = term * Polynomial.variable(ctx.sig, VarKind.VECTOR, i + 1, a + 1)
+                f = f + term
+            assert not is_invariant(ctx, f)
+            assert is_invariant(ctx, f * f)
 
     def test_finite_exhaustive(self):
         spec = finite_group([mat([[-1]])])
@@ -177,6 +188,98 @@ class TestIsInvariant:
     def test_constants_invariant(self):
         ctx = CONTEXTS["sp"]
         assert is_invariant(ctx, Polynomial.constant(ctx.sig, Fraction(5)))
+
+
+def sampled_is_invariant(ctx, f):
+    """The sampled check `is_invariant` used to make: seeded Cayley draws
+    0-7, plus the reflection for O(n)."""
+    elems = [sample_element(ctx.spec, seed) for seed in range(8)]
+    if ctx.spec.family == "o":
+        refl = mat([[-1 if i == j == 0 else int(i == j) for j in range(ctx.spec.n)]
+                    for i in range(ctx.spec.n)])
+        elems.append(GroupElement(refl, refl))
+    return all(act(ctx, e, f) == f for e in elems)
+
+
+def random_invariant(rng, spec, sig):
+    gens = [contraction(g, sig) for g in generators_for(spec, sig)]
+    f = Polynomial.constant(sig, Fraction(rng.randint(-3, 3)))
+    for _ in range(3):
+        p = Polynomial.constant(sig, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        for _ in range(rng.randint(1, 2)):
+            p = p * rng.choice(gens)
+        f = f + p
+    return f
+
+
+def random_odd_monomial(rng, sig):
+    # -I lies in every group here and negates odd degrees, so adding an
+    # odd monomial to an invariant never leaves an invariant
+    exps = [0] * sig.num_vars
+    for _ in range(rng.choice([1, 3])):
+        exps[rng.randrange(sig.num_vars)] += 1
+    return Polynomial(sig, {tuple(exps): ONE})
+
+
+class TestExactAgainstSampled:
+    @pytest.mark.parametrize(
+        "spec,sig",
+        [
+            (general_linear(2), SpaceSignature(n=2, k=2, m=2)),
+            (orthogonal(1), SpaceSignature(n=1, k=0, m=2)),
+            (orthogonal(2), SpaceSignature(n=2, k=0, m=2)),
+            (orthogonal(3), SpaceSignature(n=3, k=0, m=2)),
+            (symplectic(2), SpaceSignature(n=2, k=0, m=2)),
+            (symplectic(4), SpaceSignature(n=4, k=0, m=2)),
+        ],
+        ids=["gl2", "o1", "o2", "o3", "sp2", "sp4"],
+    )
+    def test_agree_on_contraction_combinations(self, spec, sig):
+        ctx = ActionContext(spec, sig)
+        rng = random.Random(f"{spec.family}{spec.n}")
+        for _ in range(3):
+            f = random_invariant(rng, spec, sig)
+            assert is_invariant(ctx, f) and sampled_is_invariant(ctx, f)
+            g = f + random_odd_monomial(rng, sig)
+            assert not is_invariant(ctx, g) and not sampled_is_invariant(ctx, g)
+
+    def test_rejects_what_signed_permutations_fix(self):
+        ctx = ActionContext(orthogonal(2), SpaceSignature(n=2, k=0, m=1))
+        x = Polynomial.variable(ctx.sig, VarKind.VECTOR, 1, 1)
+        y = Polynomial.variable(ctx.sig, VarKind.VECTOR, 1, 2)
+        f = x**4 + y**4
+        moved = [e for e in small_integer_elements(ctx.spec) if act(ctx, e, f) != f]
+        assert [certify._variable_map(ctx.sig, e) for e in moved] == [None]
+        assert not is_invariant(ctx, f)
+
+    @pytest.mark.parametrize(
+        "spec,sig,d",
+        [
+            (symplectic(4), SpaceSignature(n=4, k=0, m=3), 4),
+            (general_linear(2), SpaceSignature(n=2, k=1, m=1), 4),
+        ],
+        ids=["sp4", "gl2"],
+    )
+    def test_rejects_what_only_the_last_element_moves(self, spec, sig, d):
+        # a vector the orbit stage and every cut but the last one keep
+        ctx = ActionContext(spec, sig)
+        elems = small_integer_elements(spec)
+        maps = [certify._variable_map(sig, e) for e in elems]
+        generic = [e for e, vm in zip(elems, maps) if vm is None]
+        moved = None
+        for comp in _exponents_desc(sig.num_copies, d):
+            vecs = certify._orbit_kernel(
+                certify._block_monomials(sig, comp), [vm for vm in maps if vm is not None]
+            )
+            for e in generic[:-1]:
+                vecs = certify._generic_cut(ctx, e, vecs)
+            moved = moved or next(
+                (f for f in (Polynomial(sig, v) for v in vecs) if act(ctx, generic[-1], f) != f),
+                None,
+            )
+        assert moved is not None
+        assert [e for e in elems if act(ctx, e, moved) != moved] == [generic[-1]]
+        assert not is_invariant(ctx, moved)
 
 
 class TestReynolds:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -144,6 +145,37 @@ class TestCheck:
         )
         assert code == 1
         assert "above the cap" in err
+
+    # degree-0 powers and products pass the dimension cap; their
+    # coefficient bits do not
+    @pytest.mark.parametrize(
+        "expr", ["2^99999999999", "(2^200000)^200000", "2^99000*2^99000*2^99000"]
+    )
+    def test_huge_constant_hits_the_bit_cap(self, capsys, expr):
+        t0 = time.monotonic()
+        code, _, err = run(
+            capsys,
+            "check", "--group", "o", "--n", "2", "--vectors", "2",
+            "--expr", expr,
+        )
+        assert time.monotonic() - t0 < 1
+        assert code == 1
+        assert "bits, above the cap 200000" in err
+
+    def test_reports_the_element_count_of_basis(self, capsys):
+        session = ("--group", "o", "--n", "3", "--vectors", "2")
+        _, checked, _ = run_json(capsys, "check", *session, "--expr", "s(1,2)")
+        _, basis, _ = run_json(capsys, "basis", *session, "--degree", "2")
+        assert checked["samples_used"] == basis["samples_used"]
+
+    def test_samples_flag_is_gone(self, capsys):
+        code, _, err = run(
+            capsys,
+            "check", "--group", "o", "--n", "2", "--vectors", "2",
+            "--expr", "s(1,2)", "--samples", "8",
+        )
+        assert code == 1
+        assert "--samples" in err
 
     @pytest.mark.parametrize("command", ["check", "decompose"])
     def test_dim_cap_flag_bounds_products(self, capsys, command):

@@ -42,6 +42,20 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def test_only_groups_names_the_sampler():
+    # every decision uses the fixed element list; the seeded sampler is
+    # a cross-check for the tests and must not creep back into the library
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("groups.py", "__init__.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if "sample_element"
+        in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    ]
+    assert found == []
+
+
 def test_a_cut_that_grows_the_kernel_is_an_error(monkeypatch):
     def growing_cut(ctx, elem, vectors):
         return vectors + [dict(vectors[0])] if vectors else vectors
