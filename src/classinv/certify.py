@@ -20,9 +20,10 @@ Kernels are computed block by block: the action rewrites each copy's
 coordinates within the copy, so the per-copy multidegree splits a graded
 piece into independent blocks and no matrix ever reaches the full graded
 dimension.  Group elements whose matrix is a scaled permutation act by
-monomial relabeling, and their combined constraint set is solved by a
-weighted union-find over monomial orbits before any row reduction
-happens; dense elements then cut the small surviving space.
+monomial relabeling, and their combined constraint set is solved by
+one integer-weighted walk per monomial orbit before any row reduction
+happens; dense elements then cut the small surviving space, expanding
+each monomial's image once through memoized lower-degree images.
 
 Every rank here is one sparse ``exact.Echelon`` over rows keyed by
 monomial: product spans and decompositions insert expanded products, and
@@ -34,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .action import ActionContext, act, is_invariant
+from .action import ActionContext, act_monomials, is_invariant
 from .exact import Echelon, Matrix, ONE, ZERO, add_scaled, ensure, rref
 from .groups import GroupElement, GroupSpec, small_integer_elements
 from .poly import (
@@ -237,85 +239,75 @@ def _scaled_permutation(g: Matrix):
 
 
 def _variable_map(sig: SpaceSignature, elem: GroupElement):
-    """Whole-universe variable relabeling for a scaled-permutation element,
-    combining the covector (transpose) and vector (inverse) conventions."""
+    """How a scaled-permutation element moves monomials, combining the
+    covector (transpose) and vector (inverse) conventions; else None.
+
+    Returns (src, neg, powers): the image of m is m read through src,
+    negated when the exponents on the variables in neg have odd sum, and
+    scaled by num^e / den^e for each (variable, num, den) in powers, the
+    variables whose scale is not +-1.
+    """
     pT = _scaled_permutation(elem.g.transpose())
-    if pT is None:
-        return None
     pI = _scaled_permutation(elem.g_inv)
-    if pI is None:
+    if pT is None or pI is None:
         return None
     n = sig.n
-    tgt = [0] * sig.num_vars
+    src = [0] * sig.num_vars
     scl = [ONE] * sig.num_vars
     for c in range(sig.num_copies):
         base = c * n
         t, s = pT if c < sig.k else pI
         for a in range(n):
-            tgt[base + a] = base + t[a]
+            src[base + t[a]] = base + a
             scl[base + a] = s[a]
-    return tgt, scl
+    neg = [v for v, s in enumerate(scl) if s < 0]
+    powers = [(v, abs(s).numerator, s.denominator) for v, s in enumerate(scl) if abs(s) != 1]
+    return src, neg, powers
 
 
-def _mono_image(mono: Monomial, tgt, scl) -> tuple[Monomial, Fraction]:
-    out = [0] * len(mono)
-    c = ONE
-    for v, e in enumerate(mono):
-        if e:
-            out[tgt[v]] += e
-            s = scl[v]
-            if s != ONE:
-                c *= s**e
-    return tuple(out), c
+def _picker(idx: list):
+    # operator.itemgetter, but returning a tuple for any number of indices
+    return itemgetter(*idx) if len(idx) > 1 else lambda m: tuple([m[v] for v in idx])
 
 
 def _orbit_kernel(monos: list[Monomial], varmaps: list) -> list[dict]:
     """Exact joint kernel of act(g)-id for scaled-permutation elements.
 
-    Such an element sends monomial m to c(m) * s(m), so invariance forces
-    a_{s(m)} = c(m) * a_m along every edge; a weighted union-find resolves
-    all constraints at once.  Orbits with an inconsistent cycle weight die
-    entirely; each surviving orbit contributes one basis vector.
+    Such an element sends monomial m to c(m) * s(m) (see _variable_map),
+    so invariance forces a_{s(m)} = c(m) * a_m along every edge.  One walk
+    per orbit gives its first monomial weight 1 and every monomial reached
+    the weight the edge forces; reaching a monomial again with another
+    weight kills the orbit.  Weights stay ints unless a scale is not +-1,
+    and each surviving orbit contributes one basis vector.
     """
-    index = {m: i for i, m in enumerate(monos)}
-    size = len(monos)
-    parent = list(range(size))
-    weight = [ONE] * size  # a_i = weight[i] * a_root(i)
-    dead = [False] * size  # meaningful on roots
-
-    def find(i: int) -> int:
-        stack = []
-        while parent[i] != i:
-            stack.append(i)
-            i = parent[i]
-        for j in reversed(stack):
-            p = parent[j]
-            if p != i:
-                weight[j] = weight[j] * weight[p]
-            parent[j] = i
-        return i
-
-    for tgt, scl in varmaps:
-        for i, m in enumerate(monos):
-            img, c = _mono_image(m, tgt, scl)
-            j = index[img]
-            ri = find(i)
-            rj = find(j)
-            if ri == rj:
-                if weight[j] != c * weight[i]:
-                    dead[ri] = True
-            else:
-                parent[rj] = ri
-                weight[rj] = c * weight[i] / weight[j]
-                dead[ri] = dead[ri] or dead[rj]
-    classes: dict[int, list[int]] = {}
-    for i in range(size):
-        classes.setdefault(find(i), []).append(i)
+    moves = [(_picker(src), _picker(neg), powers) for src, neg, powers in varmaps]
+    weight: dict = {}
     basis = []
-    for root in sorted(classes):
-        if dead[root]:
+    for first in monos:
+        if first in weight:
             continue
-        basis.append({monos[i]: weight[i] for i in classes[root]})
+        weight[first] = 1
+        orbit = [first]
+        alive = True
+        for m in orbit:
+            w = weight[m]
+            for image, negated, powers in moves:
+                c = -w if sum(negated(m)) & 1 else w
+                p = q = 1
+                for v, num, den in powers:
+                    p *= num ** m[v]
+                    q *= den ** m[v]
+                if p != q:
+                    c = Fraction(c * p, q)
+                img = image(m)
+                seen = weight.get(img)
+                if seen is None:
+                    weight[img] = c
+                    orbit.append(img)
+                elif seen != c:
+                    alive = False
+        if alive:
+            basis.append({m: Fraction(weight[m]) for m in orbit})
     return basis
 
 
@@ -328,15 +320,12 @@ def _generic_cut(ctx: ActionContext, elem: GroupElement, vectors: list[dict]) ->
     combination.  The vectors returned are independent but not canonical;
     invariant_subspace_basis re-echelons each block once at the end.
     """
-    images = {
-        m: act(ctx, elem, Polynomial(ctx.sig, {m: ONE})).terms
-        for m in {m for v in vectors for m in v}
-    }
+    image = act_monomials(ctx, elem)
     echelon = Echelon()
     for i, v in enumerate(vectors):
         w: dict = {}
         for m, c in v.items():
-            add_scaled(w, c, images[m])
+            add_scaled(w, c, image(m))
         add_scaled(w, -ONE, v)
         echelon.insert(w, i)
     out = []

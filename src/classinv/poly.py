@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .exact import Matrix, ZERO, ONE, _as_fraction
+from .exact import Matrix, ZERO, ONE, _as_fraction, add_scaled
 
 Monomial = tuple  # dense exponent tuple, length = signature.num_vars
 
@@ -141,6 +141,57 @@ def monomial_basis(
 def grlex_key(mono: Monomial) -> tuple:
     """Sort key: graded first, lex inside a degree; use reverse=True for leading-first."""
     return (sum(mono), mono)
+
+
+def linear_images(sig: SpaceSignature, assign: Mapping[tuple[VarKind, int], Matrix]):
+    """The substitution of ``Polynomial.substitute_linear`` on monomials.
+
+    Returns ``image(mono)``, the expanded image of one monomial as a term
+    dict.  Each variable's linear form is built once.  A monomial's image
+    is the image of the monomial with one factor of its first variable
+    removed, times that variable's form: ``image`` walks down to the
+    nearest memoized monomial and multiplies back up, memoizing only the
+    steps two or more degrees below the requested monomial (callers ask
+    for each about once; images one degree below are rarely shared and
+    the largest).  Returned dicts may be shared and must not be mutated.
+    """
+    n = sig.n
+    forms = [((v, ONE),) for v in range(sig.num_vars)]
+    for (kind, copy), mat in assign.items():
+        if mat.rows != n or mat.cols != n:
+            raise SignatureMismatch(
+                f"matrix for copy ({kind.value},{copy}) is {mat.rows}x{mat.cols}, need {n}x{n}"
+            )
+        base = sig.var_index(kind, copy, 1)
+        for a in range(n):
+            forms[base + a] = tuple((base + b, mat.at(a, b)) for b in range(n) if mat.at(a, b))
+    zero = (0,) * sig.num_vars
+    memo = {zero: {zero: ONE}}
+
+    def image(mono: Monomial) -> dict:
+        chain = []
+        v = 0
+        while mono not in memo:
+            while not mono[v]:
+                v += 1
+            chain.append((mono, v))
+            mono = mono[:v] + (mono[v] - 1,) + mono[v + 1 :]
+        img = memo[mono]
+        for step in range(len(chain) - 1, -1, -1):
+            mono, v = chain[step]
+            nxt: dict = {}
+            for u, fc in forms[v]:
+                shifted = {m[:u] + (m[u] + 1,) + m[u + 1 :]: c for m, c in img.items()}
+                if nxt:
+                    add_scaled(nxt, fc, shifted)
+                else:  # the first term of the form: nothing to collect yet
+                    nxt = shifted if fc == 1 else {m: c * fc for m, c in shifted.items()}
+            img = nxt
+            if step > 1:
+                memo[mono] = img
+        return img
+
+    return image
 
 
 class Polynomial:
@@ -317,63 +368,14 @@ class Polynomial:
         The matrix M assigned to a copy rewrites that copy's coordinate a
         as sum_b M[a,b] * coordinate b; copies without an assignment keep
         the identity.  The result is f composed with the block-diagonal
-        linear map, expanded and collected exactly.
+        linear map: the sum of the terms' monomial images from
+        ``linear_images``, collected exactly.
         """
-        sig = self.sig
-        n = sig.n
-        forms: list[list[tuple[int, Fraction]] | None] = [None] * sig.num_vars
-        for (kind, copy), mat in assign.items():
-            if mat.rows != n or mat.cols != n:
-                raise SignatureMismatch(
-                    f"matrix for copy ({kind.value},{copy}) is {mat.rows}x{mat.cols}, need {n}x{n}"
-                )
-            base = sig.var_index(kind, copy, 1)
-            for a in range(n):
-                form = [
-                    (base + b, mat.at(a, b)) for b in range(n) if mat.at(a, b)
-                ]
-                forms[base + a] = form
+        image = linear_images(self.sig, assign)
         out: dict = {}
-        nvars = sig.num_vars
-        zero_mono = (0,) * nvars
         for mono, coeff in self.terms.items():
-            acc = {zero_mono: coeff}
-            for idx, e in enumerate(mono):
-                if not e:
-                    continue
-                form = forms[idx]
-                if form is None:
-                    acc = {
-                        tuple(
-                            x + (e if i == idx else 0) for i, x in enumerate(m)
-                        ): c
-                        for m, c in acc.items()
-                    }
-                    continue
-                for _ in range(e):
-                    nxt: dict = {}
-                    for m, c in acc.items():
-                        for vidx, fc in form:
-                            key = list(m)
-                            key[vidx] += 1
-                            key = tuple(key)
-                            s = nxt.get(key, ZERO) + c * fc
-                            if s:
-                                nxt[key] = s
-                            else:
-                                nxt.pop(key, None)
-                    acc = nxt
-                    if not acc:
-                        break
-                if not acc:
-                    break
-            for m, c in acc.items():
-                s = out.get(m, ZERO) + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Polynomial(sig, out)
+            add_scaled(out, coeff, image(mono))
+        return Polynomial(self.sig, out)
 
     # -- presentation ----------------------------------------------------
 

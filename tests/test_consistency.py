@@ -2,14 +2,16 @@
 runs under ``python -O``: explicit ConsistencyError raises, no assert."""
 
 import ast
+import gc
 from pathlib import Path
 
 import pytest
 
 from classinv import certify, groups
+from classinv.action import ActionContext, act
 from classinv.exact import ConsistencyError
-from classinv.groups import orthogonal
-from classinv.poly import SpaceSignature
+from classinv.groups import general_linear, orthogonal, small_integer_elements, symplectic
+from classinv.poly import Polynomial, SpaceSignature, monomial_basis
 
 SRC = Path(certify.__file__).resolve().parent
 
@@ -69,3 +71,22 @@ def test_a_built_in_element_outside_the_group_is_an_error(monkeypatch):
     monkeypatch.setattr(groups, "contains", lambda spec, g: False)
     with pytest.raises(ConsistencyError, match="not in the o group"):
         groups.small_integer_elements(orthogonal(2))
+
+
+def test_kernels_and_act_leave_no_reference_cycles():
+    # memoized images held in a self-referencing closure would live on
+    # until the next collection; every kernel and act must free at once
+    sig = SpaceSignature(n=2, k=0, m=2)
+    ctx = ActionContext(orthogonal(2), sig)
+    f = Polynomial(sig, {m: i + 1 for i, m in enumerate(monomial_basis(sig, 4))})
+    elem = small_integer_elements(ctx.spec)[-1]
+    gc.collect()
+    gc.disable()
+    try:
+        certify.invariant_subspace_basis(symplectic(4), SpaceSignature(n=4, k=0, m=2), 4)
+        certify.invariant_subspace_basis(orthogonal(3), SpaceSignature(n=3, k=0, m=2), 4)
+        certify.invariant_subspace_basis(general_linear(2), SpaceSignature(n=2, k=1, m=1), 4)
+        assert act(ctx, elem, f) != f
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from classinv import certify
 from classinv.action import ActionContext, act, is_invariant
 from classinv.certify import (
     GeneratorId,
@@ -16,15 +18,17 @@ from classinv.certify import (
     invariant_subspace_basis,
     minimal_generator_degrees,
 )
-from classinv.exact import Echelon, Matrix
+from classinv.cli import read_matrix_file
+from classinv.exact import ONE, Echelon, Matrix, rref
 from classinv.groups import (
     finite_group,
     general_linear,
     orthogonal,
     sample_element,
+    small_integer_elements,
     symplectic,
 )
-from classinv.poly import Polynomial, SpaceSignature, VarKind, space_dimension
+from classinv.poly import Polynomial, SpaceSignature, VarKind, _exponents_desc, space_dimension
 
 from oracle import invariant_dimension
 
@@ -252,6 +256,70 @@ class TestKernel:
                 # seeded Cayley samples
                 for seed in range(99, 105):
                     assert act(ctx, sample_element(spec, seed), f) == f
+
+
+def _b3():
+    root = Path(__file__).resolve().parents[1]
+    return finite_group(read_matrix_file(str(root / "perfbench" / "groups" / "b3.txt")))
+
+
+def _half_swap():
+    # order 8; the swap scales one coordinate by 2 and the other by 1/2
+    half = Fraction(1, 2)
+    return finite_group([Matrix.from_rows([[0, 2], [half, 0]]), Matrix.from_rows([[-1, 0], [0, 1]])])
+
+
+class TestOrbitStage:
+    """The orbit walk against the dense path it replaces: for every block,
+    cutting the whole monomial basis by each scaled-permutation element in
+    turn with _generic_cut must leave the same span."""
+
+    @staticmethod
+    def canonical(vectors, monos):
+        return rref([[v.get(m, 0) for m in monos] for v in vectors])
+
+    @pytest.mark.parametrize(
+        "spec,k,m,d",
+        [
+            (orthogonal(1), 0, 2, 4),
+            (orthogonal(2), 0, 2, 4),
+            (orthogonal(2), 0, 1, 5),
+            (orthogonal(3), 0, 2, 4),
+            (orthogonal(4), 0, 2, 4),
+            (symplectic(2), 0, 2, 4),
+            (symplectic(4), 0, 2, 4),
+            (general_linear(1), 1, 1, 4),
+            (general_linear(2), 1, 2, 4),
+            (general_linear(2), 2, 1, 3),
+            (general_linear(3), 1, 1, 4),
+            (_b3(), 0, 1, 6),
+            (_b3(), 0, 2, 3),
+            (_half_swap(), 0, 1, 4),
+            (_half_swap(), 1, 1, 4),
+            (_half_swap(), 0, 2, 4),
+            (_half_swap(), 1, 2, 3),
+        ],
+        ids=[
+            "o1", "o2", "o2-odd", "o3", "o4", "sp2", "sp4", "gl1", "gl2-k1", "gl2-k2", "gl3",
+            "b3-m1", "b3-m2", "half-k0m1", "half-k1m1", "half-k0m2", "half-k1m2",
+        ],
+    )
+    def test_orbit_kernel_matches_dense_cuts(self, spec, k, m, d):
+        sig = SpaceSignature(n=spec.n, k=k, m=m)
+        ctx = ActionContext(spec, sig)
+        pairs = [(e, certify._variable_map(sig, e)) for e in small_integer_elements(spec)]
+        pairs = [(e, vm) for e, vm in pairs if vm is not None]
+        assert pairs
+        total = 0
+        for comp in _exponents_desc(sig.num_copies, d):
+            monos = certify._block_monomials(sig, comp)
+            orbit = certify._orbit_kernel(monos, [vm for _, vm in pairs])
+            dense = [{mono: ONE} for mono in monos]
+            for e, _ in pairs:
+                dense = certify._generic_cut(ctx, e, dense)
+            assert self.canonical(orbit, monos) == self.canonical(dense, monos)
+            total += len(orbit)
+        assert total <= space_dimension(sig, d)
 
 
 class TestOracleAgreement:

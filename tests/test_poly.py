@@ -6,6 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from classinv.exact import Matrix
+from classinv.groups import (
+    finite_group,
+    general_linear,
+    group_elements,
+    orthogonal,
+    sample_element,
+    symplectic,
+)
 from classinv.poly import (
     DegreeCapExceeded,
     MissingAssignment,
@@ -14,6 +22,7 @@ from classinv.poly import (
     SpaceSignature,
     VarKind,
     grlex_key,
+    linear_images,
     monomial_basis,
     space_dimension,
 )
@@ -226,6 +235,79 @@ class TestSubstitution:
         doubler = Matrix.identity(2).scale(Fraction(2))
         image = (u * x).substitute_linear({(VarKind.VECTOR, 1): doubler})
         assert image == Fraction(2) * u * x
+
+
+def expand_by_forms(sig, assign, mono):
+    # the image of a monomial as a product of Polynomial linear forms
+    image = Polynomial.constant(sig, 1)
+    for v, e in enumerate(mono):
+        kind, copy, coord = sig.var_id(v)
+        mat = assign.get((kind, copy))
+        form = Polynomial.variable(sig, kind, copy, coord)
+        if mat is not None:
+            form = Polynomial.zero(sig)
+            for b in range(sig.n):
+                form = form + Polynomial.variable(sig, kind, copy, b + 1).scale(mat.at(coord - 1, b))
+        image = image * form**e
+    return image
+
+
+class TestLinearImages:
+    """linear_images against an independent expansion, over group elements
+    with dense rational entries, signed and scaled permutations, copies
+    left unassigned, and monomials asked for in random order, twice."""
+
+    HALF_SWAP = finite_group(
+        [Matrix.from_rows([[0, 2], [Fraction(1, 2), 0]]), Matrix.from_rows([[-1, 0], [0, 1]])]
+    )
+
+    @pytest.mark.parametrize(
+        "spec,sig,elements,max_deg",
+        [
+            (general_linear(2), SpaceSignature(n=2, k=1, m=2), [0, 1], 5),
+            (orthogonal(2), SpaceSignature(n=2, k=0, m=2), [0, 3], 6),
+            (symplectic(2), SpaceSignature(n=2, k=0, m=1), [0, 1, 2], 6),
+            (symplectic(4), SpaceSignature(n=4, k=0, m=1), [5], 4),
+            (general_linear(1), SpaceSignature(n=1, k=0, m=1), [0, 1], 6),
+            (general_linear(1), SpaceSignature(n=1, k=1, m=0), [2], 6),
+            (HALF_SWAP, SpaceSignature(n=2, k=1, m=1), None, 6),
+        ],
+        ids=["gl2", "o2", "sp2", "sp4", "gl1-x", "gl1-u", "half-swap"],
+    )
+    def test_matches_products_of_linear_forms(self, spec, sig, elements, max_deg):
+        if elements is None:
+            elems = group_elements(spec)
+        else:
+            elems = [sample_element(spec, seed) for seed in elements]
+        rng = random.Random(f"{spec.family}{sig}")
+        monos = [m for d in range(max_deg + 1) for m in monomial_basis(sig, d)]
+        for i, e in enumerate(elems):
+            assign = {(VarKind.COVECTOR, c): e.g.transpose() for c in range(1, sig.k + 1)}
+            assign.update({(VarKind.VECTOR, c): e.g_inv for c in range(1, sig.m + 1)})
+            if i % 2 and len(assign) > 1:
+                assign.popitem()  # a copy without an assignment keeps the identity
+            expected = {m: expand_by_forms(sig, assign, m) for m in monos}
+            image = linear_images(sig, assign)
+            for _ in range(2):
+                rng.shuffle(monos)
+                for m in monos:
+                    assert Polynomial(sig, image(m)) == expected[m]
+
+    def test_substitution_is_the_sum_of_images(self):
+        rng = random.Random(23)
+        sig = SpaceSignature(n=2, k=1, m=1)
+        e = sample_element(orthogonal(2), 4)
+        assign = {(VarKind.COVECTOR, 1): e.g.transpose(), (VarKind.VECTOR, 1): e.g_inv}
+        for _ in range(10):
+            f = rand_poly(rng, sig, max_deg=5, terms=8)
+            total = Polynomial.zero(sig)
+            for m, c in f.terms.items():
+                total = total + expand_by_forms(sig, assign, m).scale(c)
+            assert f.substitute_linear(assign) == total
+
+    def test_shape_is_checked(self):
+        with pytest.raises(SignatureMismatch):
+            linear_images(SIG2, {(VarKind.VECTOR, 1): Matrix.identity(3)})
 
 
 class TestEvaluate:
