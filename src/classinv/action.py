@@ -22,7 +22,7 @@ from .groups import (
     group_elements,
     small_integer_elements,
 )
-from .poly import Polynomial, SpaceSignature, VarKind, linear_images
+from .poly import Polynomial, SpaceSignature, VarKind
 
 
 @dataclass(frozen=True)
@@ -37,26 +37,17 @@ class ActionContext:
             )
 
 
-def _assignment(ctx: ActionContext, elem: GroupElement) -> dict:
-    gT = elem.g.transpose()
-    assign = {(VarKind.COVECTOR, i): gT for i in range(1, ctx.sig.k + 1)}
-    for j in range(1, ctx.sig.m + 1):
-        assign[(VarKind.VECTOR, j)] = elem.g_inv
-    return assign
-
-
-def act_monomials(ctx: ActionContext, elem: GroupElement):
-    """The action of one element on monomials: ``image(mono)`` returns the
-    term dict of act(elem, mono), sharing work between monomials (see
-    ``poly.linear_images``; the dicts returned must not be mutated)."""
-    return linear_images(ctx.sig, _assignment(ctx, elem))
-
-
 def act(ctx: ActionContext, elem: GroupElement, f: Polynomial) -> Polynomial:
     """Apply a group element to a polynomial, exactly."""
     if f.sig != ctx.sig:
         raise ValueError("polynomial signature does not match the context")
-    return f.substitute_linear(_assignment(ctx, elem))
+    assign = {}
+    gT = elem.g.transpose()
+    for i in range(1, ctx.sig.k + 1):
+        assign[(VarKind.COVECTOR, i)] = gT
+    for j in range(1, ctx.sig.m + 1):
+        assign[(VarKind.VECTOR, j)] = elem.g_inv
+    return f.substitute_linear(assign)
 
 
 def transform_point(ctx: ActionContext, elem: GroupElement, point) -> list:

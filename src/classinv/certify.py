@@ -22,8 +22,9 @@ piece into independent blocks and no matrix ever reaches the full graded
 dimension.  Group elements whose matrix is a scaled permutation act by
 monomial relabeling, and their combined constraint set is solved by
 one integer-weighted walk per monomial orbit before any row reduction
-happens; dense elements then cut the small surviving space, expanding
-each monomial's image once through memoized lower-degree images.
+happens; dense elements then cut the small surviving space, one `act`
+per surviving vector, whose substitution builds each monomial's image
+from memoized lower-degree images.
 
 Every rank here is one sparse ``exact.Echelon`` over rows keyed by
 monomial: product spans and decompositions insert expanded products, and
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .action import ActionContext, act_monomials, is_invariant
+from .action import ActionContext, act, is_invariant
 from .exact import Echelon, Matrix, ONE, ZERO, add_scaled, ensure, rref
 from .groups import GroupElement, GroupSpec, small_integer_elements
 from .poly import (
@@ -320,12 +321,9 @@ def _generic_cut(ctx: ActionContext, elem: GroupElement, vectors: list[dict]) ->
     combination.  The vectors returned are independent but not canonical;
     invariant_subspace_basis re-echelons each block once at the end.
     """
-    image = act_monomials(ctx, elem)
     echelon = Echelon()
     for i, v in enumerate(vectors):
-        w: dict = {}
-        for m, c in v.items():
-            add_scaled(w, c, image(m))
+        w = dict(act(ctx, elem, Polynomial(ctx.sig, v)).terms)
         add_scaled(w, -ONE, v)
         echelon.insert(w, i)
     out = []
