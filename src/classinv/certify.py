@@ -26,6 +26,17 @@ happens; dense elements then cut the small surviving space, one `act`
 per surviving vector, whose substitution builds each monomial's image
 from memoized lower-degree images.
 
+Blocks come in copy-permutation classes.  Every vector copy is moved by
+the same g^-1 and every covector copy by the same g^T, so permuting
+vector copies among themselves, or covector copies among themselves,
+commutes with the action: the kernel of block sigma(mu) is sigma applied
+to the kernel of block mu.  Only each class's representative, whose
+covector degrees and vector degrees are each sorted descending, goes
+through the orbit walk and the cuts; every other block relabels the
+representative's surviving vectors copy by copy, coefficients unchanged.
+Each block is then put in reduced echelon form, which is unique for its
+space, so the basis does not depend on which block was computed.
+
 Every rank here is one sparse ``exact.Echelon`` over rows keyed by
 monomial: product spans and decompositions insert expanded products, and
 a dense element's cut inserts the rows (g - 1) v and keeps the relations
@@ -271,6 +282,23 @@ def _picker(idx: list):
     return itemgetter(*idx) if len(idx) > 1 else lambda m: tuple([m[v] for v in idx])
 
 
+def _copy_class(sig: SpaceSignature, comp: tuple):
+    """The representative of a block's copy-permutation class, and the
+    relabelling that carries the representative's monomials onto the block.
+
+    The representative lists the covector degrees, then the vector
+    degrees, each sorted descending.  Copy order[i] of the block takes
+    the coordinates of copy i of the representative.
+    """
+    n, k = sig.n, sig.k
+    order = sorted(range(k), key=lambda c: -comp[c])
+    order += sorted(range(k, sig.num_copies), key=lambda c: -comp[c])
+    src = [0] * sig.num_vars
+    for i, c in enumerate(order):
+        src[c * n : (c + 1) * n] = range(i * n, (i + 1) * n)
+    return tuple(comp[c] for c in order), _picker(src)
+
+
 def _orbit_kernel(monos: list[Monomial], varmaps: list) -> list[dict]:
     """Exact joint kernel of act(g)-id for scaled-permutation elements.
 
@@ -359,8 +387,16 @@ def invariant_subspace_basis(
     """
     check_dim_cap(sig, d, dim_cap)
     ctx = ActionContext(spec, sig)
-    comps = list(_exponents_desc(sig.num_copies, d))
-    blocks = [_block_monomials(sig, comp) for comp in comps]
+    classes: dict = {}  # representative -> [(block composition, relabelling)]
+    for comp in _exponents_desc(sig.num_copies, d):
+        rep, relabel = _copy_class(sig, comp)
+        classes.setdefault(rep, []).append((comp, relabel))
+    reps = list(classes)
+    blocks = [_block_monomials(sig, rep) for rep in reps]
+
+    def weighted_dim(bases):
+        return sum(len(b) * len(classes[rep]) for rep, b in zip(reps, bases))
+
     history = [space_dimension(sig, d)]
 
     elems = small_integer_elements(spec)
@@ -375,7 +411,7 @@ def invariant_subspace_basis(
 
     if mono_elems:
         block_bases = [_orbit_kernel(monos, mono_elems) for monos in blocks]
-        dim = sum(len(b) for b in block_bases)
+        dim = weighted_dim(block_bases)
         ensure(dim <= history[-1], f"the orbit stage grew the kernel to {dim}")
         history.append(dim)
     else:
@@ -384,19 +420,22 @@ def invariant_subspace_basis(
 
     for e in generic_elems:
         block_bases = [_generic_cut(ctx, e, vecs) for vecs in block_bases]
-        new_dim = sum(len(b) for b in block_bases)
+        new_dim = weighted_dim(block_bases)
         ensure(new_dim <= dim, f"a cut grew the kernel from {dim} to {new_dim}")
         dim = new_dim
         history.append(dim)
 
     polys = []
-    for monos, vecs in zip(blocks, block_bases):
+    for rep, vecs in zip(reps, block_bases):
         if not vecs:
             continue
-        reduced, pivots = rref([[v.get(m, ZERO) for m in monos] for v in vecs])
-        ensure(len(pivots) == len(vecs), "a block basis lost rank in canonical form")
-        for r in reduced:
-            polys.append(Polynomial(sig, {m: c for m, c in zip(monos, r) if c}))
+        for comp, relabel in classes[rep]:
+            monos = _block_monomials(sig, comp)
+            moved = [{relabel(m): c for m, c in v.items()} for v in vecs]
+            reduced, pivots = rref([[v.get(m, ZERO) for m in monos] for v in moved])
+            ensure(len(pivots) == len(vecs), "a block basis lost rank in canonical form")
+            for r in reduced:
+                polys.append(Polynomial(sig, {m: c for m, c in zip(monos, r) if c}))
     polys.sort(key=lambda p: grlex_key(p.leading_monomial()), reverse=True)
     ensure(len(polys) == dim, f"{len(polys)} canonical vectors, kernel dimension {dim}")
     return KernelResult(

@@ -95,10 +95,6 @@ class SpaceSignature:
         kind, copy, coord = self.var_id(index)
         return f"{kind.value}[{copy},{coord}]"
 
-    def copy_slot(self, index: int) -> int:
-        """0-based copy slot (covector copies first) owning a variable index."""
-        return index // self.n
-
     def copy_degrees(self, mono: Monomial) -> tuple:
         """Per-copy total degrees of a monomial, covector copies first."""
         n = self.n

@@ -322,6 +322,69 @@ class TestOrbitStage:
         assert total <= space_dimension(sig, d)
 
 
+class TestCopyClasses:
+    """Blocks filled in by relabelling their copy-permutation class's
+    representative, against every block computed directly: the orbit
+    walk, then each dense cut, then rref, with no classes."""
+
+    @staticmethod
+    def direct_blocks(spec, sig, d):
+        ctx = ActionContext(spec, sig)
+        maps = [(e, certify._variable_map(sig, e)) for e in small_integer_elements(spec)]
+        orbit_maps = [vm for _, vm in maps if vm is not None]
+        out = {}
+        for comp in _exponents_desc(sig.num_copies, d):
+            monos = certify._block_monomials(sig, comp)
+            vecs = certify._orbit_kernel(monos, orbit_maps)
+            for e, vm in maps:
+                if vm is None:
+                    vecs = certify._generic_cut(ctx, e, vecs)
+            reduced, _ = rref([[v.get(m, 0) for m in monos] for v in vecs])
+            out[comp] = [Polynomial(sig, dict(zip(monos, r))) for r in reduced]
+        return out
+
+    @pytest.mark.parametrize(
+        "spec,k,m,d",
+        [
+            (orthogonal(2), 0, 3, 6),  # block (3,2,1): the relabelling is a 3-cycle
+            (orthogonal(3), 0, 3, 4),
+            (symplectic(2), 0, 3, 6),
+            (symplectic(4), 0, 3, 4),
+            (general_linear(2), 2, 2, 4),
+            (general_linear(2), 2, 3, 4),
+            (general_linear(3), 3, 2, 4),
+            (_b3(), 0, 3, 4),
+            (_half_swap(), 2, 2, 4),
+        ],
+        ids=["o2-m3", "o3-m3", "sp2-m3", "sp4-m3", "gl2-k2m2", "gl2-k2m3", "gl3-k3m2", "b3-m3", "half-k2m2"],
+    )
+    def test_relabelled_blocks_match_direct(self, spec, k, m, d):
+        sig = SpaceSignature(n=spec.n, k=k, m=m)
+        res = invariant_subspace_basis(spec, sig, d)
+        got: dict = {}
+        for f in res.basis:
+            got.setdefault(f.copy_degrees(), []).append(f)
+        direct = self.direct_blocks(spec, sig, d)
+        assert set(got) <= set(direct)
+        for comp, polys in direct.items():
+            assert got.get(comp, []) == polys, comp
+        assert res.dim == sum(len(p) for p in direct.values()) > 0
+
+    @pytest.mark.parametrize(
+        "spec,k,m,d,history,samples",
+        [
+            (orthogonal(4), 0, 3, 4, (1365, 36, 21), 28),
+            (symplectic(4), 0, 4, 4, (3876, 306, 41, 41, 21), 9),
+            (symplectic(4), 0, 2, 8, (6435, 435, 3, 3, 1), 9),
+            (general_linear(3), 2, 2, 6, (12376, 72, 20), 5),
+        ],
+        ids=["o4-m3-d4", "sp4-m4-d4", "sp4-m2-d8", "gl3-k2m2-d6"],
+    )
+    def test_class_weights_reproduce_dim_history(self, spec, k, m, d, history, samples):
+        res = invariant_subspace_basis(spec, SpaceSignature(n=spec.n, k=k, m=m), d)
+        assert (res.dim_history, res.samples_used, res.dim) == (history, samples, history[-1])
+
+
 class TestOracleAgreement:
     # the reference implementation recomputes these dimensions from scratch
     @pytest.mark.parametrize(
