@@ -20,7 +20,7 @@ from dimension_formula import block_dim, invariant_dim, kostka, schur_dim
 
 _MAKE = {"o": orthogonal, "sp": symplectic, "gl": general_linear}
 
-_SESSIONS = (
+_GRID = (
     [("o", n, 0, m) for n in (1, 2, 3, 4) for m in (1, 2, 3, 4)]
     + [("sp", n, 0, m) for n in (2, 4) for m in (1, 2, 3, 4)]
     + [("gl", n, k, m) for n in (1, 2, 3) for k in (1, 2, 3) for m in (1, 2, 3) if k + m <= 4]
@@ -38,7 +38,7 @@ def test_formula_on_known_values():
     assert invariant_dim("sp", 2, 0, 4, 4) == 21 - 1
 
 
-@pytest.mark.parametrize("family,n,k,m", _SESSIONS, ids=lambda v: str(v))
+@pytest.mark.parametrize("family,n,k,m", _GRID, ids=lambda v: str(v))
 def test_block_dims_match_closed_form(family, n, k, m):
     spec, sig = _MAKE[family](n), SpaceSignature(n, k, m)
     for d in range(1, 7):
