@@ -37,17 +37,24 @@ class ActionContext:
             )
 
 
+def substitution(sig: SpaceSignature, elem: GroupElement) -> dict:
+    """The matrix each copy's coordinates are rewritten through when elem
+    acts: g^T for every covector copy, g^-1 for every vector copy.
+
+    This is the one statement of the action convention; `act` substitutes
+    it and the kernel reads its monomial moves off the same forms.
+    """
+    gT = elem.g.transpose()
+    assign = {(VarKind.COVECTOR, i): gT for i in range(1, sig.k + 1)}
+    assign.update({(VarKind.VECTOR, j): elem.g_inv for j in range(1, sig.m + 1)})
+    return assign
+
+
 def act(ctx: ActionContext, elem: GroupElement, f: Polynomial) -> Polynomial:
     """Apply a group element to a polynomial, exactly."""
     if f.sig != ctx.sig:
         raise ValueError("polynomial signature does not match the context")
-    assign = {}
-    gT = elem.g.transpose()
-    for i in range(1, ctx.sig.k + 1):
-        assign[(VarKind.COVECTOR, i)] = gT
-    for j in range(1, ctx.sig.m + 1):
-        assign[(VarKind.VECTOR, j)] = elem.g_inv
-    return f.substitute_linear(assign)
+    return f.substitute_linear(substitution(ctx.sig, elem))
 
 
 def transform_point(ctx: ActionContext, elem: GroupElement, point) -> list:

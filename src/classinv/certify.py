@@ -19,12 +19,15 @@ that degree.
 Kernels are computed block by block: the action rewrites each copy's
 coordinates within the copy, so the per-copy multidegree splits a graded
 piece into independent blocks and no matrix ever reaches the full graded
-dimension.  Group elements whose matrix is a scaled permutation act by
-monomial relabeling, and their combined constraint set is solved by
-one integer-weighted walk per monomial orbit before any row reduction
-happens; dense elements then cut the small surviving space, one `act`
-per surviving vector, whose substitution builds each monomial's image
-from memoized lower-degree images.
+dimension.  How an element moves the variables is stated once, by
+`action.substitution`; this module reads it and never looks at g or
+g^-1 itself.  When every variable's form there has a single term, the
+element acts by monomial relabeling, and the combined constraint set
+of such elements is solved by one integer-weighted walk per monomial
+orbit before any row reduction happens; dense elements then cut the
+small surviving space, one `act` per surviving vector, whose
+substitution builds each monomial's image from memoized lower-degree
+images.
 
 Blocks come in copy-permutation classes.  Every vector copy is moved by
 the same g^-1 and every covector copy by the same g^T, so permuting
@@ -34,8 +37,9 @@ to the kernel of block mu.  Only each class's representative, whose
 covector degrees and vector degrees are each sorted descending, goes
 through the orbit walk and the cuts; every other block relabels the
 representative's surviving vectors copy by copy, coefficients unchanged.
-Each block is then put in reduced echelon form, which is unique for its
-space, so the basis does not depend on which block was computed.
+Each block is then put in reduced echelon form over the monomials its
+vectors use; that form is unique for the space, so the basis does not
+depend on which block was computed.
 
 Every rank here is one sparse ``exact.Echelon`` over rows keyed by
 monomial: product spans and decompositions insert expanded products, and
@@ -49,8 +53,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .action import ActionContext, act, is_invariant
-from .exact import Echelon, Matrix, ONE, ZERO, add_scaled, ensure, rref
+from .action import ActionContext, act, is_invariant, substitution
+from .exact import Echelon, ONE, ZERO, add_scaled, ensure, rref
 from .groups import GroupElement, GroupSpec, small_integer_elements
 from .poly import (
     DEFAULT_DIM_CAP,
@@ -61,6 +65,7 @@ from .poly import (
     _exponents_desc,
     check_dim_cap,
     grlex_key,
+    linear_forms,
     space_dimension,
 )
 
@@ -175,6 +180,15 @@ def generators_for(spec: GroupSpec, sig: SpaceSignature) -> list[GeneratorId]:
 # generator products
 
 
+def _power_product(sig: SpaceSignature, factors, exps, coeff=1) -> Polynomial:
+    """coeff * prod factors[i]^exps[i], multiplied out one factor at a time."""
+    p = Polynomial.constant(sig, coeff)
+    for g, e in zip(factors, exps):
+        for _ in range(e):
+            p = p * g
+    return p
+
+
 @dataclass(frozen=True)
 class ProductSpan:
     """Degree-d products of the generators: the full canonically ordered
@@ -206,13 +220,10 @@ def generator_products_basis(
     if d % 2 or (d > 0 and not gens):
         return ProductSpan(gens, (), (), 0, 0)
     expansions = [contraction(g, sig) for g in gens]
-    products = []
-    for exps in _exponents_desc(max(len(gens), 1), d // 2) if gens else [()]:
-        p = Polynomial.constant(sig, 1)
-        for g, e in zip(expansions, exps):
-            for _ in range(e):
-                p = p * g
-        products.append((tuple(exps), p))
+    products = [
+        (tuple(exps), _power_product(sig, expansions, exps))
+        for exps in (_exponents_desc(max(len(gens), 1), d // 2) if gens else [()])
+    ]
     echelon = Echelon()
     independent = [idx for idx, (_, p) in enumerate(products) if echelon.insert(p.terms)]
     return ProductSpan(
@@ -232,46 +243,23 @@ def _block_monomials(sig: SpaceSignature, comp: tuple) -> list[Monomial]:
     return out
 
 
-def _scaled_permutation(g: Matrix):
-    """(targets, scales) when g has exactly one nonzero per row and column,
-    i.e. variable a rewrites to scales[a] * variable targets[a]; else None."""
-    n = g.rows
-    targets = [0] * n
-    scales = [ONE] * n
-    used = [False] * n
-    for a in range(n):
-        hits = [b for b in range(n) if g.at(a, b)]
-        if len(hits) != 1 or used[hits[0]]:
-            return None
-        b = hits[0]
-        used[b] = True
-        targets[a] = b
-        scales[a] = g.at(a, b)
-    return targets, scales
-
-
 def _variable_map(sig: SpaceSignature, elem: GroupElement):
-    """How a scaled-permutation element moves monomials, combining the
-    covector (transpose) and vector (inverse) conventions; else None.
+    """How elem moves monomials when its substitution (`action.substitution`)
+    rewrites every variable to a multiple of one variable; else None.
 
     Returns (src, neg, powers): the image of m is m read through src,
     negated when the exponents on the variables in neg have odd sum, and
     scaled by num^e / den^e for each (variable, num, den) in powers, the
     variables whose scale is not +-1.
     """
-    pT = _scaled_permutation(elem.g.transpose())
-    pI = _scaled_permutation(elem.g_inv)
-    if pT is None or pI is None:
+    forms = linear_forms(sig, substitution(sig, elem))
+    if any(len(form) != 1 for form in forms):
         return None
-    n = sig.n
     src = [0] * sig.num_vars
-    scl = [ONE] * sig.num_vars
-    for c in range(sig.num_copies):
-        base = c * n
-        t, s = pT if c < sig.k else pI
-        for a in range(n):
-            src[base + t[a]] = base + a
-            scl[base + a] = s[a]
+    scl = []
+    for v, ((u, s),) in enumerate(forms):
+        src[u] = v
+        scl.append(s)
     neg = [v for v, s in enumerate(scl) if s < 0]
     powers = [(v, abs(s).numerator, s.denominator) for v, s in enumerate(scl) if abs(s) != 1]
     return src, neg, powers
@@ -387,12 +375,11 @@ def invariant_subspace_basis(
     """
     check_dim_cap(sig, d, dim_cap)
     ctx = ActionContext(spec, sig)
-    classes: dict = {}  # representative -> [(block composition, relabelling)]
+    classes: dict = {}  # representative -> relabellings onto its blocks
     for comp in _exponents_desc(sig.num_copies, d):
         rep, relabel = _copy_class(sig, comp)
-        classes.setdefault(rep, []).append((comp, relabel))
+        classes.setdefault(rep, []).append(relabel)
     reps = list(classes)
-    blocks = [_block_monomials(sig, rep) for rep in reps]
 
     def weighted_dim(bases):
         return sum(len(b) * len(classes[rep]) for rep, b in zip(reps, bases))
@@ -409,14 +396,12 @@ def invariant_subspace_basis(
         else:
             mono_elems.append(vm)
 
-    if mono_elems:
-        block_bases = [_orbit_kernel(monos, mono_elems) for monos in blocks]
-        dim = weighted_dim(block_bases)
-        ensure(dim <= history[-1], f"the orbit stage grew the kernel to {dim}")
-        history.append(dim)
-    else:
-        block_bases = [[{m: ONE} for m in monos] for monos in blocks]
-        dim = history[0]
+    # every element list holds a scaled permutation: the sign diagonals
+    # (o), kappa (sp), diag(2, 1, ...) (gl), the identity (finite)
+    block_bases = [_orbit_kernel(_block_monomials(sig, rep), mono_elems) for rep in reps]
+    dim = weighted_dim(block_bases)
+    ensure(dim <= history[-1], f"the orbit stage grew the kernel to {dim}")
+    history.append(dim)
 
     for e in generic_elems:
         block_bases = [_generic_cut(ctx, e, vecs) for vecs in block_bases]
@@ -429,9 +414,11 @@ def invariant_subspace_basis(
     for rep, vecs in zip(reps, block_bases):
         if not vecs:
             continue
-        for comp, relabel in classes[rep]:
-            monos = _block_monomials(sig, comp)
+        for relabel in classes[rep]:
             moved = [{relabel(m): c for m, c in v.items()} for v in vecs]
+            # the block order restricted to the monomials in use: the
+            # columns left out are zero, so the reduced form is the same
+            monos = sorted({m for v in moved for m in v}, reverse=True)
             reduced, pivots = rref([[v.get(m, ZERO) for m in monos] for v in moved])
             ensure(len(pivots) == len(vecs), "a block basis lost rank in canonical form")
             for r in reduced:
@@ -528,11 +515,7 @@ class GeneratorCombination:
         total = Polynomial.zero(self.sig)
         expansions = [contraction(g, self.sig) for g in self.generators]
         for exps, coeff in self.terms:
-            p = Polynomial.constant(self.sig, coeff)
-            for g, e in zip(expansions, exps):
-                for _ in range(e):
-                    p = p * g
-            total = total + p
+            total = total + _power_product(self.sig, expansions, exps, coeff)
         return total
 
 
@@ -627,12 +610,9 @@ def minimal_generator_degrees(
         kr = invariant_subspace_basis(spec, sig, d, dim_cap=dim_cap)
         echelon = Echelon()
         weights = [dg for dg, _ in found]
+        factors = [gpoly for _, gpoly in found]
         for exps in _weighted_exponents(weights, d):
-            p = Polynomial.constant(sig, 1)
-            for (_, gpoly), e in zip(found, exps):
-                for _ in range(e):
-                    p = p * gpoly
-            echelon.insert(p.terms)
+            echelon.insert(_power_product(sig, factors, exps).terms)
         new = kr.dim - echelon.rank
         ensure(new >= 0, f"degree {d}: kernel {kr.dim} below product rank {echelon.rank}")
         new_by_degree[d] = new

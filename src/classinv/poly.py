@@ -139,6 +139,26 @@ def grlex_key(mono: Monomial) -> tuple:
     return (sum(mono), mono)
 
 
+def linear_forms(sig: SpaceSignature, assign: Mapping[tuple[VarKind, int], Matrix]) -> list:
+    """What ``Polynomial.substitute_linear`` writes for each variable.
+
+    Entry v is variable v's linear form, a tuple of (variable, nonzero
+    coefficient) pairs: row a of the matrix assigned to a copy rewrites
+    that copy's coordinate a, and unassigned variables map to themselves.
+    """
+    n = sig.n
+    forms = [((v, ONE),) for v in range(sig.num_vars)]
+    for (kind, copy), mat in assign.items():
+        if mat.rows != n or mat.cols != n:
+            raise SignatureMismatch(
+                f"matrix for copy ({kind.value},{copy}) is {mat.rows}x{mat.cols}, need {n}x{n}"
+            )
+        base = sig.var_index(kind, copy, 1)
+        for a in range(n):
+            forms[base + a] = tuple((base + b, mat.at(a, b)) for b in range(n) if mat.at(a, b))
+    return forms
+
+
 def linear_images(sig: SpaceSignature, assign: Mapping[tuple[VarKind, int], Matrix]):
     """The substitution of ``Polynomial.substitute_linear`` on monomials.
 
@@ -151,16 +171,7 @@ def linear_images(sig: SpaceSignature, assign: Mapping[tuple[VarKind, int], Matr
     for each about once; images one degree below are rarely shared and
     the largest).  Returned dicts may be shared and must not be mutated.
     """
-    n = sig.n
-    forms = [((v, ONE),) for v in range(sig.num_vars)]
-    for (kind, copy), mat in assign.items():
-        if mat.rows != n or mat.cols != n:
-            raise SignatureMismatch(
-                f"matrix for copy ({kind.value},{copy}) is {mat.rows}x{mat.cols}, need {n}x{n}"
-            )
-        base = sig.var_index(kind, copy, 1)
-        for a in range(n):
-            forms[base + a] = tuple((base + b, mat.at(a, b)) for b in range(n) if mat.at(a, b))
+    forms = linear_forms(sig, assign)
     zero = (0,) * sig.num_vars
     memo = {zero: {zero: ONE}}
 

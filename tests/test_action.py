@@ -18,7 +18,7 @@ from classinv.groups import (
     small_integer_elements,
     symplectic,
 )
-from classinv.poly import Polynomial, SpaceSignature, VarKind, _exponents_desc
+from classinv.poly import Polynomial, SpaceSignature, VarKind, _exponents_desc, monomial_basis
 
 from test_poly import rand_poly
 
@@ -280,6 +280,42 @@ class TestExactAgainstSampled:
         assert moved is not None
         assert [e for e in elems if act(ctx, e, moved) != moved] == [generic[-1]]
         assert not is_invariant(ctx, moved)
+
+
+SIGNED_3_CYCLE = [[0, 0, 1], [1, 0, 0], [0, -1, 0]]
+
+
+class TestVariableMap:
+    """The kernel's monomial moves (certify._variable_map) against act,
+    one monomial at a time, on every element the map applies to."""
+
+    @staticmethod
+    def mapped(vm, mono):
+        src, neg, powers = vm
+        c = Fraction(-1 if sum(mono[v] for v in neg) % 2 else 1)
+        for v, num, den in powers:
+            c *= Fraction(num, den) ** mono[v]
+        return {tuple(mono[u] for u in src): c}
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize(
+        "spec",
+        [orthogonal(3), symplectic(4), general_linear(3), finite_group([mat(SIGNED_3_CYCLE)])],
+        ids=["o3", "sp4", "gl3", "signed-3-cycle"],
+    )
+    def test_moves_each_monomial_as_act_does(self, spec, k):
+        sig = SpaceSignature(n=spec.n, k=k, m=1)
+        ctx = ActionContext(spec, sig)
+        elems = small_integer_elements(spec)
+        maps = [(e, certify._variable_map(sig, e)) for e in elems]
+        maps = [(e, vm) for e, vm in maps if vm is not None]
+        if spec.family == "finite":
+            assert len(maps) == len(elems) == 6  # g^3 = -1
+        assert maps
+        for e, vm in maps:
+            for mono in monomial_basis(sig, 3):
+                expected = act(ctx, e, Polynomial(sig, {mono: ONE})).terms
+                assert self.mapped(vm, mono) == expected, (e.g, mono)
 
 
 class TestReynolds:

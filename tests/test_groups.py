@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from classinv.certify import _scaled_permutation
+from classinv.certify import _variable_map
 from classinv.exact import Echelon, Matrix, SingularMatrixError
 from classinv.groups import (
     ClosureCapExceeded,
@@ -21,6 +21,7 @@ from classinv.groups import (
     symplectic,
     symplectic_form_matrix,
 )
+from classinv.poly import SpaceSignature
 
 
 def mat(rows):
@@ -239,11 +240,12 @@ def _lie_closure_dim(spec: GroupSpec) -> int:
     eye = Matrix.identity(n)
     els = small_integer_elements(spec)
     weyl, queue = [], []  # queue starts with the one-parameter directions
+    sig = SpaceSignature(n, 0, 1)  # one vector copy: g^-1 moves the variables
     for el in els:
-        perm = _scaled_permutation(el.g)
+        perm = _variable_map(sig, el)
         if perm is not None:
             # a Weyl or torus element, no direction of its own
-            if set(perm[1]) <= {1, -1}:
+            if not perm[2]:  # no scale other than +-1
                 weyl.append(el)
             continue
         x = el.g - eye
