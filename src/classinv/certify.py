@@ -41,6 +41,22 @@ Each block is then put in reduced echelon form over the monomials its
 vectors use; that form is unique for the space, so the basis does not
 depend on which block was computed.
 
+For a classical family the orbit walk starts only from the monomials of
+weight zero for the diagonal torus, generated directly rather than
+filtered (`_weight_zero_monomials`).  Every invariant is fixed by the
+torus, so each of its monomials has weight zero, and the Weyl elements
+in the walk map weight-zero monomials to weight-zero monomials, so no
+surviving orbit leaves that set.  For o and gl the filter drops only
+what the walk already kills: a sign diagonal negates a monomial with an
+odd coordinate sum, and diag(2, 1, ...) with the transpositions scales
+by a power of 2 some monomial in the orbit of one whose covector and
+vector sums differ.  For sp no listed element is diag(t, 1/t) on a
+pair, so the filter removes orbits the walk would keep; it is sound
+because those diagonals lie in Sp(n), so the invariants lie in the
+weight-zero space and span <= invariants <= kernel still holds exactly.
+Only sp's intermediate dim_history entries differ from an unfiltered
+walk (see Procesi, *Lie Groups*, 2007).
+
 Every rank here is one sparse ``exact.Echelon`` over rows keyed by
 monomial: product spans and decompositions insert expanded products, and
 a dense element's cut inserts the rows (g - 1) v and keeps the relations
@@ -51,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import add, itemgetter, neg, pos, xor
 
 from .action import ActionContext, act, is_invariant, substitution
 from .exact import Echelon, ONE, ZERO, add_scaled, ensure, rref
@@ -243,6 +259,52 @@ def _block_monomials(sig: SpaceSignature, comp: tuple) -> list[Monomial]:
     return out
 
 
+def _weight_zero_monomials(family: str, sig: SpaceSignature, comp: tuple) -> list[Monomial]:
+    """The monomials of block comp that the family's diagonal torus fixes,
+    in _block_monomials order; every block monomial for a finite group.
+
+    Summed over the copies, each coordinate's exponent is even (o), each
+    coordinate's covector exponent equals its vector exponent (gl), and
+    the two coordinates of each pair (2p+1, 2p+2) have equal exponents
+    (sp).  A copy's exponent vector e gets an integer weight: for o the
+    bitmask of its odd entries, combined by xor; for gl the entries of e,
+    negated on vector copies, and for sp the pair differences, packed in
+    base 2d+1 and combined by addition.  The copies before the last one
+    of positive degree are enumerated with their weights, and the last
+    one's exponent vectors are looked up by the weight they cancel.
+    """
+    if family not in ("o", "gl", "sp") or not any(comp):
+        return _block_monomials(sig, comp)
+    n, k = sig.n, sig.k
+    if family == "o":
+
+        def weigh(c, e):
+            return sum(1 << a for a in range(n) if e[a] & 1)
+
+        combine, cancel = xor, pos
+    else:
+        base = 2 * sum(comp) + 1
+
+        def weigh(c, e):
+            digits = e if family == "gl" else [e[a] - e[a + 1] for a in range(0, n, 2)]
+            w = 0
+            for x in reversed(digits):
+                w = w * base + x
+            return -w if c >= k else w
+
+        combine, cancel = add, neg
+    last = max(c for c, dc in enumerate(comp) if dc)
+    prefixes = [((), 0)]
+    for c in range(last):
+        part = [(e, weigh(c, e)) for e in _exponents_desc(n, comp[c])]
+        prefixes = [(m + e, combine(w, we)) for m, w in prefixes for e, we in part]
+    lookup: dict = {}
+    for e in _exponents_desc(n, comp[last]):
+        lookup.setdefault(cancel(weigh(last, e)), []).append(e)
+    tail = (0,) * (n * (len(comp) - last - 1))
+    return [m + e + tail for m, w in prefixes for e in lookup.get(w, ())]
+
+
 def _variable_map(sig: SpaceSignature, elem: GroupElement):
     """How elem moves monomials when its substitution (`action.substitution`)
     rewrites every variable to a multiple of one variable; else None.
@@ -371,7 +433,9 @@ def invariant_subspace_basis(
     The constraints are every element of a finite group, or the fixed
     `small_integer_elements` of a classical family, whose common fixed
     space is the invariant space.  The scaled permutations among them
-    go through the orbit stage, every other element through one cut.
+    go through the orbit stage, which a classical family starts from the
+    torus-weight-zero monomials only, and every other element through
+    one cut.
     """
     check_dim_cap(sig, d, dim_cap)
     ctx = ActionContext(spec, sig)
@@ -398,7 +462,9 @@ def invariant_subspace_basis(
 
     # every element list holds a scaled permutation: the sign diagonals
     # (o), kappa (sp), diag(2, 1, ...) (gl), the identity (finite)
-    block_bases = [_orbit_kernel(_block_monomials(sig, rep), mono_elems) for rep in reps]
+    block_bases = [
+        _orbit_kernel(_weight_zero_monomials(spec.family, sig, rep), mono_elems) for rep in reps
+    ]
     dim = weighted_dim(block_bases)
     ensure(dim <= history[-1], f"the orbit stage grew the kernel to {dim}")
     history.append(dim)

@@ -21,6 +21,8 @@ from classinv.certify import (
 from classinv.cli import read_matrix_file
 from classinv.exact import ONE, Echelon, Matrix, rref
 from classinv.groups import (
+    GroupElement,
+    contains,
     finite_group,
     general_linear,
     orthogonal,
@@ -28,7 +30,14 @@ from classinv.groups import (
     small_integer_elements,
     symplectic,
 )
-from classinv.poly import Polynomial, SpaceSignature, VarKind, _exponents_desc, space_dimension
+from classinv.poly import (
+    Polynomial,
+    SpaceSignature,
+    VarKind,
+    _exponents_desc,
+    monomial_basis,
+    space_dimension,
+)
 
 from oracle import invariant_dimension
 
@@ -222,11 +231,15 @@ class TestKernel:
         assert res.dim == 0
 
     def test_dim_history_monotone(self):
-        sig = SpaceSignature(n=2, k=0, m=2)
-        res = invariant_subspace_basis(orthogonal(2), sig, 4)
-        hist = list(res.dim_history)
-        assert hist == sorted(hist, reverse=True)
-        assert hist[-1] == res.dim
+        for spec, k, m, d in [
+            (orthogonal(2), 0, 2, 4),
+            (symplectic(4), 0, 3, 4),
+            (general_linear(3), 2, 1, 4),
+        ]:
+            res = invariant_subspace_basis(spec, SpaceSignature(n=spec.n, k=k, m=m), d)
+            hist = list(res.dim_history)
+            assert hist == sorted(hist, reverse=True)
+            assert hist[-1] == res.dim
 
     def test_trivial_group_fixes_everything(self):
         spec = finite_group([Matrix.identity(2)])
@@ -374,8 +387,8 @@ class TestCopyClasses:
         "spec,k,m,d,history,samples",
         [
             (orthogonal(4), 0, 3, 4, (1365, 36, 21), 28),
-            (symplectic(4), 0, 4, 4, (3876, 306, 41, 41, 21), 9),
-            (symplectic(4), 0, 2, 8, (6435, 435, 3, 3, 1), 9),
+            (symplectic(4), 0, 4, 4, (3876, 76, 41, 41, 21), 9),
+            (symplectic(4), 0, 2, 8, (6435, 42, 3, 3, 1), 9),
             (general_linear(3), 2, 2, 6, (12376, 72, 20), 5),
         ],
         ids=["o4-m3-d4", "sp4-m4-d4", "sp4-m2-d8", "gl3-k2m2-d6"],
@@ -383,6 +396,93 @@ class TestCopyClasses:
     def test_class_weights_reproduce_dim_history(self, spec, k, m, d, history, samples):
         res = invariant_subspace_basis(spec, SpaceSignature(n=spec.n, k=k, m=m), d)
         assert (res.dim_history, res.samples_used, res.dim) == (history, samples, history[-1])
+
+
+def _torus_elements(spec):
+    """Diagonal group elements: every sign diagonal (o), diag(1, .., 2, .., 1)
+    (gl), diag(.., 2, 1/2, ..) on one pair (sp)."""
+    n = spec.n
+    if spec.family == "o":
+        rows = [[-1 if mask >> a & 1 else 1 for a in range(n)] for mask in range(1, 1 << n)]
+    elif spec.family == "gl":
+        rows = [[2 if b == a else 1 for b in range(n)] for a in range(n)]
+    else:
+        half = Fraction(1, 2)
+        rows = [
+            [2 if b == 2 * p else half if b == 2 * p + 1 else 1 for b in range(n)]
+            for p in range(n // 2)
+        ]
+    return [
+        Matrix.from_rows([[r[i] if i == j else 0 for j in range(n)] for i in range(n)]) for r in rows
+    ]
+
+
+class TestWeightZero:
+    """The monomials the kernel enumerates per block against the whole
+    block: exactly those the diagonal torus fixes, in block order."""
+
+    @staticmethod
+    def weight_zero(family, sig, mono):
+        n, k = sig.n, sig.k
+        cov = [sum(mono[c * n + a] for c in range(k)) for a in range(n)]
+        vec = [sum(mono[c * n + a] for c in range(k, sig.num_copies)) for a in range(n)]
+        if family == "o":
+            return all(x % 2 == 0 for x in vec)
+        if family == "gl":
+            return cov == vec
+        return all(vec[a] == vec[a + 1] for a in range(0, n, 2))
+
+    @pytest.mark.parametrize(
+        "spec,k,m",
+        [
+            (orthogonal(1), 0, 3),
+            (orthogonal(2), 0, 3),
+            (orthogonal(3), 0, 2),
+            (orthogonal(4), 0, 2),
+            (symplectic(2), 0, 3),
+            (symplectic(4), 0, 2),
+            (symplectic(6), 0, 1),
+            (general_linear(1), 2, 2),
+            (general_linear(2), 1, 2),
+            (general_linear(2), 2, 1),
+            (general_linear(3), 1, 1),
+            (general_linear(3), 2, 1),
+        ],
+        ids=[
+            "o1-m3", "o2-m3", "o3-m2", "o4-m2", "sp2-m3", "sp4-m2", "sp6-m1",
+            "gl1-k2m2", "gl2-k1m2", "gl2-k2m1", "gl3-k1m1", "gl3-k2m1",
+        ],
+    )
+    def test_torus_fixes_exactly_the_enumerated_monomials(self, spec, k, m):
+        sig = SpaceSignature(n=spec.n, k=k, m=m)
+        ctx = ActionContext(spec, sig)
+        units = [tuple(int(u == v) for u in range(sig.num_vars)) for v in range(sig.num_vars)]
+        scales = []
+        for g in _torus_elements(spec):
+            assert contains(spec, g)
+            el = GroupElement(g, g.inverse())
+            images = [act(ctx, el, Polynomial(sig, {u: ONE})).terms for u in units]
+            assert [list(t) for t in images] == [[u] for u in units]
+            scales.append([t[u] for t, u in zip(images, units)])
+
+        def fixed_by(scale, mono):
+            c = ONE
+            for s, e in zip(scale, mono):
+                c *= s**e
+            return c == 1
+
+        for d in range(7):
+            blocks: dict = {}
+            for mono in monomial_basis(sig, d):
+                blocks.setdefault(sig.copy_degrees(mono), []).append(mono)
+            for comp in _exponents_desc(sig.num_copies, d):
+                block = blocks.get(comp, [])
+                kept = certify._weight_zero_monomials(spec.family, sig, comp)
+                assert kept == [mono for mono in block if self.weight_zero(spec.family, sig, mono)]
+                kept_set = set(kept)
+                for mono in block:
+                    moved = any(not fixed_by(s, mono) for s in scales)
+                    assert moved != (mono in kept_set), (comp, mono)
 
 
 class TestOracleAgreement:
