@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Mapping
 
-from .exact import Matrix, ZERO, ONE, _as_fraction, add_scaled
+from .exact import Matrix, ZERO, ONE, _as_fraction
 
 Monomial = tuple  # dense exponent tuple, length = signature.num_vars
 
@@ -160,20 +160,29 @@ def linear_forms(sig: SpaceSignature, assign: Mapping[tuple[VarKind, int], Matri
 
 
 def linear_images(sig: SpaceSignature, assign: Mapping[tuple[VarKind, int], Matrix]):
-    """The substitution of ``Polynomial.substitute_linear`` on monomials.
+    """The substitution of ``Polynomial.substitute_linear`` on monomials,
+    over the integers.
 
-    Returns ``image(mono)``, the expanded image of one monomial as a term
-    dict.  Each variable's linear form is built once.  A monomial's image
-    is the image of the monomial with one factor of its first variable
-    removed, times that variable's form: ``image`` walks down to the
-    nearest memoized monomial and multiplies back up, memoizing only the
-    steps two or more degrees below the requested monomial (callers ask
-    for each about once; images one degree below are rarely shared and
-    the largest).  Returned dicts may be shared and must not be mutated.
+    Returns ``(scale, image)``.  ``scale`` is D, the lcm of the
+    denominators in the variables' linear forms: 1 for integer matrices.
+    ``image(mono)`` is D^deg(mono) times the expanded image of one
+    monomial, a term dict of nonzero ``int`` numerators, so the true
+    image is ``image(mono) / D**deg(mono)``.  Each variable's form is
+    built once and scaled by D.  A monomial's image is the image of the
+    monomial with one factor of its first variable removed, times that
+    variable's form: ``image`` walks down to the nearest memoized monomial
+    and multiplies back up, memoizing only the steps two or more degrees
+    below the requested monomial (callers ask for each about once; images
+    one degree below are rarely shared and the largest).  Returned dicts
+    may be shared and must not be mutated.
     """
     forms = linear_forms(sig, assign)
+    scale = lcm(*(c.denominator for form in forms for _, c in form))
+    forms = [
+        tuple((u, c.numerator * (scale // c.denominator)) for u, c in form) for form in forms
+    ]
     zero = (0,) * sig.num_vars
-    memo = {zero: {zero: ONE}}
+    memo = {zero: {zero: 1}}
 
     def image(mono: Monomial) -> dict:
         chain = []
@@ -188,17 +197,22 @@ def linear_images(sig: SpaceSignature, assign: Mapping[tuple[VarKind, int], Matr
             mono, v = chain[step]
             nxt: dict = {}
             for u, fc in forms[v]:
-                shifted = {m[:u] + (m[u] + 1,) + m[u + 1 :]: c for m, c in img.items()}
-                if nxt:
-                    add_scaled(nxt, fc, shifted)
-                else:  # the first term of the form: nothing to collect yet
-                    nxt = shifted if fc == 1 else {m: c * fc for m, c in shifted.items()}
+                if not nxt:  # the first term of the form: nothing to collect yet
+                    nxt = {m[:u] + (m[u] + 1,) + m[u + 1 :]: fc * c for m, c in img.items()}
+                    continue
+                for m, c in img.items():
+                    m = m[:u] + (m[u] + 1,) + m[u + 1 :]
+                    s = nxt.get(m, 0) + fc * c
+                    if s:
+                        nxt[m] = s
+                    else:
+                        del nxt[m]
             img = nxt
             if step > 1:
                 memo[mono] = img
         return img
 
-    return image
+    return scale, image
 
 
 class Polynomial:
@@ -377,11 +391,38 @@ class Polynomial:
         the identity.  The result is f composed with the block-diagonal
         linear map: the sum of the terms' monomial images from
         ``linear_images``, collected exactly.
+
+        The sum runs on integers.  The terms of f are grouped by the
+        denominator q of their coefficient; with D the images' scale and
+        top the class's largest degree, term p/q * m contributes
+        p * D^(top - deg m) * image(m), all over q * D^top, so each class
+        collects integer numerators over one denominator and divides once
+        per output term.  (One lcm over every coefficient would make the
+        numerators of f as long as all its denominators together.)
         """
-        image = linear_images(self.sig, assign)
-        out: dict = {}
+        scale, image = linear_images(self.sig, assign)
+        classes: dict = {}
         for mono, coeff in self.terms.items():
-            add_scaled(out, coeff, image(mono))
+            classes.setdefault(coeff.denominator, []).append((mono, coeff.numerator))
+        out: dict = {}
+        for q, terms in classes.items():
+            top = max(sum(mono) for mono, _ in terms)
+            acc: dict = {}
+            for mono, p in terms:
+                p *= scale ** (top - sum(mono))
+                for m, c in image(mono).items():
+                    acc[m] = acc.get(m, 0) + p * c
+            den = q * scale**top
+            for m, c in acc.items():
+                if not c:
+                    continue
+                c = Fraction(c, den)
+                if m in out:
+                    c += out[m]
+                    if not c:
+                        del out[m]
+                        continue
+                out[m] = c
         return Polynomial(self.sig, out)
 
     # -- presentation ----------------------------------------------------

@@ -1,11 +1,19 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from classinv import certify
-from classinv.action import ActionContext, act, is_invariant, reynolds, transform_point
+from classinv.action import (
+    ActionContext,
+    act,
+    is_invariant,
+    reynolds,
+    substitution,
+    transform_point,
+)
 from classinv.certify import contraction, generators_for
 from classinv.exact import ONE, Matrix
 from classinv.groups import (
@@ -20,7 +28,7 @@ from classinv.groups import (
 )
 from classinv.poly import Polynomial, SpaceSignature, VarKind, _exponents_desc, monomial_basis
 
-from test_poly import rand_poly
+from test_poly import rand_poly, rational_poly, substitute_by_forms
 
 
 def mat(rows):
@@ -316,6 +324,46 @@ class TestVariableMap:
             for mono in monomial_basis(sig, 3):
                 expected = act(ctx, e, Polynomial(sig, {mono: ONE})).terms
                 assert self.mapped(vm, mono) == expected, (e.g, mono)
+
+
+class TestExactCoefficients:
+    """act collects on integer numerators; what it returns must be the
+    exact sum of the monomial images, in the usual coefficient form."""
+
+    def test_adversarial_denominators(self):
+        # 462 coefficients over distinct 256-bit denominators: one lcm over
+        # them all would give numerators of about 118000 bits
+        sig = SpaceSignature(n=2, k=0, m=3)
+        ctx = ActionContext(orthogonal(2), sig)
+        monos = monomial_basis(sig, 6)
+        f = Polynomial(sig, {m: Fraction(i + 1, 2**255 + i) for i, m in enumerate(monos)})
+        elems = small_integer_elements(ctx.spec)
+        sign, rotation = elems[0], elems[-1]
+        assert rotation.g.at(0, 0) == Fraction(3, 5)
+        for e in (sign, rotation):
+            assert act(ctx, e, f) == substitute_by_forms(sig, substitution(sig, e), f)
+
+    @pytest.mark.parametrize(
+        "spec", [orthogonal(3), symplectic(4), general_linear(3)], ids=["o3", "sp4", "gl3"]
+    )
+    def test_integer_elements_give_reduced_fractions(self, spec):
+        # expr.format_polynomial, and so the golden CLI digests, read the
+        # coefficients as reduced Fractions with no zeros stored
+        sig = SpaceSignature(n=spec.n, k=1, m=1)
+        ctx = ActionContext(spec, sig)
+        integral = [
+            e
+            for e in small_integer_elements(spec)
+            if all(x.denominator == 1 for x in e.g.entries + e.g_inv.entries)
+        ]
+        assert len(integral) > 1
+        rng = random.Random(spec.family)
+        for _ in range(5):
+            f = rational_poly(rng, sig, max_deg=4, terms=8)
+            for e in integral:
+                for c in act(ctx, e, f).terms.values():
+                    assert type(c) is Fraction and c
+                    assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
 
 
 class TestReynolds:

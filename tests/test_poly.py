@@ -7,11 +7,13 @@ from hypothesis import given, strategies as st
 
 from classinv.exact import Matrix
 from classinv.groups import (
+    GroupElement,
     finite_group,
     general_linear,
     group_elements,
     orthogonal,
     sample_element,
+    small_integer_elements,
     symplectic,
 )
 from classinv.poly import (
@@ -149,6 +151,12 @@ class TestArithmetic:
         assert Fraction(3, 2) * x == x.scale(Fraction(3, 2))
 
 
+def rational_poly(rng, sig, max_deg=3, terms=4):
+    # rand_poly with each term's coefficient over a random denominator
+    f = rand_poly(rng, sig, max_deg, terms)
+    return Polynomial(sig, {m: c / rng.choice([1, 2, 3, 6, 7, 12]) for m, c in f.terms.items()})
+
+
 @st.composite
 def small_polys(draw):
     rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
@@ -252,6 +260,14 @@ def expand_by_forms(sig, assign, mono):
     return image
 
 
+def substitute_by_forms(sig, assign, f):
+    # f's substitution as the sum of its terms' expand_by_forms images
+    total = Polynomial.zero(sig)
+    for m, c in f.terms.items():
+        total = total + expand_by_forms(sig, assign, m).scale(c)
+    return total
+
+
 class TestLinearImages:
     """linear_images against an independent expansion, over group elements
     with dense rational entries, signed and scaled permutations, copies
@@ -287,27 +303,75 @@ class TestLinearImages:
             if i % 2 and len(assign) > 1:
                 assign.popitem()  # a copy without an assignment keeps the identity
             expected = {m: expand_by_forms(sig, assign, m) for m in monos}
-            image = linear_images(sig, assign)
+            scale, image = linear_images(sig, assign)
             for _ in range(2):
                 rng.shuffle(monos)
                 for m in monos:
-                    assert Polynomial(sig, image(m)) == expected[m]
+                    numerators = image(m)
+                    assert all(type(c) is int and c for c in numerators.values())
+                    assert Polynomial(sig, numerators) == expected[m].scale(scale ** sum(m))
 
     def test_substitution_is_the_sum_of_images(self):
+        # non-homogeneous f whose coefficients have several denominators,
+        # so terms of different degrees share one numerator per class
         rng = random.Random(23)
         sig = SpaceSignature(n=2, k=1, m=1)
-        e = sample_element(orthogonal(2), 4)
-        assign = {(VarKind.COVECTOR, 1): e.g.transpose(), (VarKind.VECTOR, 1): e.g_inv}
-        for _ in range(10):
-            f = rand_poly(rng, sig, max_deg=5, terms=8)
-            total = Polynomial.zero(sig)
-            for m, c in f.terms.items():
-                total = total + expand_by_forms(sig, assign, m).scale(c)
-            assert f.substitute_linear(assign) == total
+        half = self.HALF_SWAP.generators[0]  # entries 2 and 1/2, its own inverse
+        cases = [
+            (sample_element(orthogonal(2), 4), 5),
+            (small_integer_elements(orthogonal(2))[-1], 5),  # the 3-4-5 rotation
+            (GroupElement(half, half), 2),
+            (small_integer_elements(general_linear(2))[-1], 1),  # the shear
+        ]
+        for e, scale in cases:
+            assign = {(VarKind.COVECTOR, 1): e.g.transpose(), (VarKind.VECTOR, 1): e.g_inv}
+            assert linear_images(sig, assign)[0] == scale
+            for _ in range(10):
+                f = rational_poly(rng, sig, max_deg=5, terms=8)
+                assert f.substitute_linear(assign) == substitute_by_forms(sig, assign, f)
+        # x[1,1] and x[1,2] both go to x/2 + y/3, so (x - y) * g goes to 0;
+        # the classes of g's denominators cancel only against each other
+        x = xvar(sig, 1, 1)
+        y = xvar(sig, 1, 2)
+        assign = {(VarKind.VECTOR, 1): Matrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]] * 2)}
+        classes = []
+        for _ in range(5):
+            f = (x - y) * rational_poly(rng, sig, max_deg=3, terms=6)
+            classes.append(len({c.denominator for c in f.terms.values()}))
+            assert f.substitute_linear(assign).terms == {}
+        assert max(classes) > 1
+        assert Polynomial.zero(sig).substitute_linear(assign).terms == {}
 
     def test_shape_is_checked(self):
         with pytest.raises(SignatureMismatch):
             linear_images(SIG2, {(VarKind.VECTOR, 1): Matrix.identity(3)})
+
+
+@st.composite
+def rational_substitutions(draw):
+    # n <= 3, a dense-ish rational matrix on the vector copy and maybe on
+    # a covector copy, and a non-homogeneous f of degree <= 3
+    n = draw(st.integers(min_value=1, max_value=3))
+    sig = SpaceSignature(n=n, k=draw(st.integers(min_value=0, max_value=1)), m=1)
+    entry = st.one_of(
+        st.just(0), st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 6)
+    )
+    entries = st.lists(entry, min_size=n * n, max_size=n * n)
+    assign = {(VarKind.VECTOR, 1): Matrix(n, n, draw(entries))}
+    if sig.k and draw(st.booleans()):
+        assign[(VarKind.COVECTOR, 1)] = Matrix(n, n, draw(entries))
+    monos = st.lists(st.integers(min_value=0, max_value=sig.num_vars - 1), max_size=3).map(
+        lambda vs: tuple(vs.count(v) for v in range(sig.num_vars))
+    )
+    coeffs = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 6)
+    terms = draw(st.dictionaries(monos, coeffs, min_size=1, max_size=6))
+    return sig, assign, Polynomial(sig, terms)
+
+
+@given(rational_substitutions())
+def test_substitution_matches_products_of_linear_forms(case):
+    sig, assign, f = case
+    assert f.substitute_linear(assign) == substitute_by_forms(sig, assign, f)
 
 
 class TestEvaluate:
