@@ -47,11 +47,13 @@ filtered (`_weight_zero_monomials`).  Every invariant is fixed by the
 torus, so each of its monomials has weight zero, and the Weyl elements
 in the walk map weight-zero monomials to weight-zero monomials, so no
 surviving orbit leaves that set.  For o and gl the filter drops only
-what the walk already kills: a sign diagonal negates a monomial with an
-odd coordinate sum, and diag(2, 1, ...) with the transpositions scales
-by a power of 2 some monomial in the orbit of one whose covector and
-vector sums differ.  For sp no listed element is diag(t, 1/t) on a
-pair, so the filter removes orbits the walk would keep; it is sound
+what the walk already kills: the transpositions carry a monomial with
+an odd sum on some coordinate to one with an odd sum on the first,
+which diag(-1, 1, ...) negates, and diag(2, 1, ...) with the
+transpositions scales by a power of 2 some monomial in the orbit of one
+whose covector and vector sums differ.  For sp no listed element is
+diag(t, 1/t) on a pair, so the filter removes orbits the walk would
+keep; it is sound
 because those diagonals lie in Sp(n), so the invariants lie in the
 weight-zero space and span <= invariants <= kernel still holds exactly.
 Only sp's intermediate dim_history entries differ from an unfiltered
@@ -220,26 +222,35 @@ class ProductSpan:
         return [self.products[i][1] for i in self.independent]
 
 
+def _generator_products(spec: GroupSpec, sig: SpaceSignature, d: int):
+    """The contraction generators and their degree-d products, expanded:
+    (generators, [(exponents over generators, Polynomial)]), the products
+    in graded-lex order.
+
+    Generators are quadratic, so odd d has no products at all.
+    """
+    gens = tuple(generators_for(spec, sig))
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    if d % 2 or (d > 0 and not gens):
+        return gens, []
+    expansions = [contraction(g, sig) for g in gens]
+    return gens, [
+        (tuple(exps), _power_product(sig, expansions, exps))
+        for exps in (_exponents_desc(max(len(gens), 1), d // 2) if gens else [()])
+    ]
+
+
 def generator_products_basis(
     spec: GroupSpec, sig: SpaceSignature, d: int
 ) -> ProductSpan:
     """All degree-d monomials in the contraction generators, expanded, with
     an exact maximal independent subset (first-wins in graded-lex order).
 
-    Generators are quadratic, so odd d has no products at all, and
-    relations among products (Gram determinants once copies outnumber
+    Relations among products (Gram determinants once copies outnumber
     the dimension) push dim_span strictly below the free count.
     """
-    gens = tuple(generators_for(spec, sig))
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    if d % 2 or (d > 0 and not gens):
-        return ProductSpan(gens, (), (), 0, 0)
-    expansions = [contraction(g, sig) for g in gens]
-    products = [
-        (tuple(exps), _power_product(sig, expansions, exps))
-        for exps in (_exponents_desc(max(len(gens), 1), d // 2) if gens else [()])
-    ]
+    gens, products = _generator_products(spec, sig, d)
     echelon = Echelon()
     independent = [idx for idx, (_, p) in enumerate(products) if echelon.insert(p.terms)]
     return ProductSpan(
@@ -460,7 +471,7 @@ def invariant_subspace_basis(
         else:
             mono_elems.append(vm)
 
-    # every element list holds a scaled permutation: the sign diagonals
+    # every element list holds a scaled permutation: diag(-1, 1, ...)
     # (o), kappa (sp), diag(2, 1, ...) (gl), the identity (finite)
     block_bases = [
         _orbit_kernel(_weight_zero_monomials(spec.family, sig, rep), mono_elems) for rep in reps
@@ -606,21 +617,19 @@ def decompose_in_generators(
     ctx = ActionContext(spec, sig)
     if not is_invariant(ctx, f):
         raise NotInvariant("polynomial is moved by a group element")
-    gens = tuple(generators_for(spec, sig))
     if not f:
-        return GeneratorCombination(gens, (), sig)
-    d = f.degree()
-    span = generator_products_basis(spec, sig, d)
+        return GeneratorCombination(tuple(generators_for(spec, sig)), (), sig)
+    gens, products = _generator_products(spec, sig, f.degree())
     echelon = Echelon()
-    for idx, (_, p) in enumerate(span.products):
+    for idx, (_, p) in enumerate(products):
         echelon.insert(p.terms, idx)
     # f + sum combo[i] * product_i = residual
     residual, combo = echelon.reduce(f.terms, {})
     if residual:
-        raise NotInSpan(Polynomial(sig, residual), span.dim_span)
+        raise NotInSpan(Polynomial(sig, residual), echelon.rank)
     terms = tuple(
         sorted(
-            ((span.products[i][0], -c) for i, c in combo.items()),
+            ((products[i][0], -c) for i, c in combo.items()),
             key=lambda t: grlex_key(t[0]),
             reverse=True,
         )

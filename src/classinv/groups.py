@@ -164,9 +164,7 @@ def _random_symmetric(rng: Random, n: int) -> Matrix:
 
 
 def _reflection(n: int) -> Matrix:
-    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    rows[0][0] = -ONE
-    return Matrix.from_rows(rows)
+    return _unit(n, {(0, 0): -ONE})
 
 
 def sample_element(spec: GroupSpec, seed: int) -> GroupElement:
@@ -259,86 +257,65 @@ def group_elements(spec: GroupSpec) -> tuple:
     return tuple(_element(spec, g) for g in group_elements_matrices(spec))
 
 
-def _perm_matrix(n: int, perm) -> Matrix:
-    rows = [[ZERO] * n for _ in range(n)]
-    for i, j in enumerate(perm):
-        rows[i][j] = ONE
+def _unit(n: int, entries: dict) -> Matrix:
+    """The identity with the given {(row, col): value} entries replaced."""
+    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for (i, j), v in entries.items():
+        rows[i][j] = v
     return Matrix.from_rows(rows)
 
 
-def _transpositions(n: int):
-    for i in range(n):
-        for j in range(i + 1, n):
-            perm = list(range(n))
-            perm[i], perm[j] = perm[j], perm[i]
-            yield _perm_matrix(n, perm)
+def _swap(n: int, *pairs) -> Matrix:
+    """The permutation matrix exchanging each pair (a, b) of coordinates."""
+    swapped = {}
+    for a, b in pairs:
+        swapped.update({(a, a): ZERO, (b, b): ZERO, (a, b): ONE, (b, a): ONE})
+    return _unit(n, swapped)
 
 
 def small_integer_elements(spec: GroupSpec) -> list[GroupElement]:
     """Fixed exact group elements whose invariants are the group's.
 
-    The signed (block) permutations among them generate the Weyl group
-    W.  Every other element generates a one-parameter subgroup up to
-    Zariski closure: the shears and the symplectic transvection
-    I + J v v^T (v = e1 + e3) are unipotent, and the 3-4-5 rotation has
-    infinite order because (3 + 4i)/5 is not a root of unity.  A vector
-    fixed by W and by such an element is therefore killed by the W-orbit
-    of its Lie-algebra direction, and those orbits span sl(n), so(n) and
-    sp(n).  diag(2, 1, ...) adds the torus of GL and the sign diagonals
-    the determinant -1 of O(n), so the common fixed space of this list is
-    exactly the invariant space.  For a finite group the list is every
-    element.
+    A set and the group it generates fix the same vectors, so the list
+    only has to generate a group with the right invariants.  Its signed
+    (block) permutations generate the Weyl group W (Humphreys, *Reflection
+    Groups and Coxeter Groups*, 1990, 1.5): for o(n), diag(-1, 1, ...)
+    and the adjacent transpositions give every sign change and every
+    permutation; for gl(n) the adjacent transpositions give every
+    permutation; for sp(n), kappa = [[0, 1], [-1, 0]] on the first pair
+    and the adjacent pair swaps give kappa on every pair, hence every
+    -1 block and J, in a group of order 4^h h! (h = n/2).  Every other
+    element generates a one-parameter subgroup up to Zariski closure:
+    the shears and the symplectic transvection I + J v v^T (v = e1 + e3)
+    are unipotent, and the 3-4-5 rotation has infinite order because
+    (3 + 4i)/5 is not a root of unity.  A vector fixed by W and by such
+    an element is therefore killed by the W-orbit of its Lie-algebra
+    direction, and those orbits span sl(n), so(n) and sp(n).
+    diag(2, 1, ...) adds the torus of GL and diag(-1, 1, ...) the
+    determinant -1 of O(n), so the common fixed space of this list is
+    exactly the invariant space.  The last element is the rotation (o),
+    the shear (gl, sp(2)) or the transvection (sp(n), n >= 4).  For a
+    finite group the list is every element.
     """
     n = spec.n
-    out: list[Matrix] = []
     if spec.family == "o":
-        for mask in range(1, 1 << n):
-            rows = [
-                [(-ONE if (mask >> i) & 1 else ONE) if i == j else ZERO for j in range(n)]
-                for i in range(n)
-            ]
-            out.append(Matrix.from_rows(rows))
-        out.extend(_transpositions(n))
-        for t in _transpositions(n):
-            out.append(_reflection(n) @ t)
+        out = [_reflection(n)] + [_swap(n, (a, a + 1)) for a in range(n - 1)]
         if n >= 2:
-            rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-            rows[0][0] = rows[1][1] = Fraction(3, 5)
-            rows[0][1], rows[1][0] = Fraction(-4, 5), Fraction(4, 5)
-            out.append(Matrix.from_rows(rows))
+            c, s = Fraction(3, 5), Fraction(4, 5)
+            out.append(_unit(n, {(0, 0): c, (1, 1): c, (0, 1): -s, (1, 0): s}))
     elif spec.family == "sp":
-        half = n // 2
-        kappa = Matrix.from_rows([[ZERO, ONE], [-ONE, ZERO]])
-        minus2 = Matrix.from_rows([[-ONE, ZERO], [ZERO, -ONE]])
-        shear = Matrix.from_rows([[ONE, ONE], [ZERO, ONE]])
-        for block in (kappa, minus2, shear):
-            for p in range(half):
-                rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-                for a in range(2):
-                    for b in range(2):
-                        rows[2 * p + a][2 * p + b] = block.at(a, b)
-                out.append(Matrix.from_rows(rows))
-        out.append(symplectic_form_matrix(n))
-        for p in range(half):
-            for q in range(p + 1, half):
-                perm = list(range(n))
-                perm[2 * p], perm[2 * q] = perm[2 * q], perm[2 * p]
-                perm[2 * p + 1], perm[2 * q + 1] = perm[2 * q + 1], perm[2 * p + 1]
-                out.append(_perm_matrix(n, perm))
+        out = [
+            _unit(n, {(0, 0): ZERO, (1, 1): ZERO, (0, 1): ONE, (1, 0): -ONE}),
+            _unit(n, {(0, 1): ONE}),
+        ]
+        out += [_swap(n, (a, a + 2), (a + 1, a + 3)) for a in range(0, n - 2, 2)]
         if n >= 4:
-            vvT = Matrix.from_rows(
-                [[ONE if i in (0, 2) and j in (0, 2) else ZERO for j in range(n)] for i in range(n)]
-            )
-            out.append(Matrix.identity(n) + symplectic_form_matrix(n) @ vvT)
+            # I + J v v^T, v = e1 + e3: rows 2 and 4 lose x1 + x3
+            out.append(_unit(n, {(a, b): -ONE for a in (1, 3) for b in (0, 2)}))
     elif spec.family == "gl":
-        out.extend(_transpositions(n))
-        rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        rows[0][0] = Fraction(2)
-        out.append(Matrix.from_rows(rows))
+        out = [_swap(n, (a, a + 1)) for a in range(n - 1)] + [_unit(n, {(0, 0): Fraction(2)})]
         if n >= 2:
-            rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-            rows[0][1] = ONE
-            out.append(Matrix.from_rows(rows))
+            out.append(_unit(n, {(0, 1): ONE}))
     else:
         return list(group_elements(spec))
     for g in out:

@@ -68,15 +68,24 @@ class TestFftVerify:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
-    def test_timing_appends_field(self, capsys):
-        code, data, _ = run_json(
-            capsys,
-            "fft-verify", "--group", "o", "--n", "1", "--vectors", "1",
-            "--degree", "2", "--timing",
-        )
-        assert code == 0
-        assert list(data)[-1] == "elapsed_ms"
-        assert isinstance(data["elapsed_ms"], int)
+    def test_timing_appends_field(self, capsys, tmp_path):
+        signs = tmp_path / "signs.txt"
+        signs.write_text("-1\n")
+        o1 = ("--group", "o", "--n", "1", "--vectors", "1")
+        finite = ("--group", "finite", "--group-file", str(signs), "--vectors", "1")
+        for argv in [
+            ("check", *o1, "--expr", "s(1,1)"),
+            ("basis", *o1, "--degree", "2"),
+            ("generators", *o1),
+            ("fft-verify", *o1, "--degree", "2"),
+            ("decompose", *o1, "--expr", "s(1,1)"),
+            ("gendeg", *o1, "--degree-bound", "2"),
+            ("reynolds", *finite, "--expr", "x[1,1]^2"),
+        ]:
+            code, data, _ = run_json(capsys, *argv, "--timing")
+            assert code == 0, argv
+            assert list(data)[-1] == "elapsed_ms", argv
+            assert isinstance(data["elapsed_ms"], int)
 
     def test_odd_n_symplectic_is_an_error(self, capsys):
         code, out, err = run(

@@ -386,10 +386,10 @@ class TestCopyClasses:
     @pytest.mark.parametrize(
         "spec,k,m,d,history,samples",
         [
-            (orthogonal(4), 0, 3, 4, (1365, 36, 21), 28),
-            (symplectic(4), 0, 4, 4, (3876, 76, 41, 41, 21), 9),
-            (symplectic(4), 0, 2, 8, (6435, 42, 3, 3, 1), 9),
-            (general_linear(3), 2, 2, 6, (12376, 72, 20), 5),
+            (orthogonal(4), 0, 3, 4, (1365, 36, 21), 5),
+            (symplectic(4), 0, 4, 4, (3876, 76, 41, 21), 4),
+            (symplectic(4), 0, 2, 8, (6435, 42, 3, 1), 4),
+            (general_linear(3), 2, 2, 6, (12376, 72, 20), 4),
         ],
         ids=["o4-m3-d4", "sp4-m4-d4", "sp4-m2-d8", "gl3-k2m2-d6"],
     )
@@ -578,6 +578,18 @@ class TestDecompose:
         x = vvar(sig, 1, 1)
         with pytest.raises(NotInvariant):
             decompose_in_generators(orthogonal(2), sig, x * x)
+
+    def test_outside_the_span_reports_the_span_dimension(self, monkeypatch):
+        # an invariant outside the span would refute the theorem, so the
+        # invariance check is switched off to reach the span test behind it
+        monkeypatch.setattr(certify, "is_invariant", lambda ctx, f: True)
+        sig = SpaceSignature(n=2, k=0, m=3)
+        x = vvar(sig, 1, 1)
+        with pytest.raises(NotInSpan) as info:
+            decompose_in_generators(orthogonal(2), sig, x * x * x * x * x * x)
+        span = generator_products_basis(orthogonal(2), sig, 6)
+        assert info.value.dim_span == span.dim_span == 55 < span.free_count
+        assert info.value.residual
 
     def test_zero_gets_empty_combination(self):
         sig = SpaceSignature(n=2, k=0, m=1)

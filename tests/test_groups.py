@@ -23,6 +23,8 @@ from classinv.groups import (
 )
 from classinv.poly import SpaceSignature
 
+from reference_elements import reference_matrices
+
 
 def mat(rows):
     return Matrix.from_rows([[Fraction(v) for v in row] for row in rows])
@@ -220,16 +222,33 @@ class TestSmallIntegerElements:
             assert contains(spec, el.g)
             assert el.g @ el.g_inv == Matrix.identity(spec.n)
 
-    def test_orthogonal_covers_all_sign_masks(self):
-        els = small_integer_elements(orthogonal(2))
-        diag_signs = {
-            (el.g.at(0, 0), el.g.at(1, 1))
-            for el in els
-            if el.g.at(0, 1) == 0 and el.g.at(1, 0) == 0
-        }
-        assert (Fraction(-1), Fraction(1)) in diag_signs
-        assert (Fraction(1), Fraction(-1)) in diag_signs
-        assert (Fraction(-1), Fraction(-1)) in diag_signs
+    @pytest.mark.parametrize(
+        "spec,order",
+        [
+            (orthogonal(1), 2), (orthogonal(2), 8), (orthogonal(3), 48), (orthogonal(4), 384),
+            (general_linear(2), 2), (general_linear(3), 6), (general_linear(4), 24),
+            (symplectic(2), 4), (symplectic(4), 32), (symplectic(6), 384),
+        ],
+        ids=["o1", "o2", "o3", "o4", "gl2", "gl3", "gl4", "sp2", "sp4", "sp6"],
+    )
+    def test_signed_permutations_generate_weyl_group(self, spec, order):
+        # 2^n n! for o(n), n! for gl(n), 4^h h! for sp(2h): the group
+        # holding every signed permutation the full enumeration listed
+        def signed(gs):
+            return [g for g in gs if _is_signed_permutation(g)]
+
+        closure = set(finite_closure(signed(el.g for el in small_integer_elements(spec))))
+        assert len(closure) == order
+        # every sign mask (o), every transposition, every -1 block and J (sp)
+        full = signed(reference_matrices(spec))
+        assert full and set(full) <= closure
+
+
+def _is_signed_permutation(g: Matrix) -> bool:
+    rows = [[g.at(i, j) for j in range(g.cols)] for i in range(g.rows)]
+    return all(x in (0, 1, -1) for row in rows for x in row) and all(
+        sum(x != 0 for x in line) == 1 for line in rows + [list(c) for c in zip(*rows)]
+    )
 
 
 def _lie_closure_dim(spec: GroupSpec) -> int:
