@@ -18,7 +18,7 @@ from .certify import (
     invariant_subspace_basis,
     minimal_generator_degrees,
 )
-from .exact import Matrix, Rational, SingularMatrixError, nullspace_basis, rref
+from .exact import Matrix, SingularMatrixError, nullspace_basis, rref
 from .expr import (
     ExprSyntaxError,
     format_generator_combination,

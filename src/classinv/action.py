@@ -86,10 +86,10 @@ def transform_point(ctx: ActionContext, elem: GroupElement, point) -> list:
 def is_invariant(ctx: ActionContext, f: Polynomial) -> bool:
     """Decide invariance exactly.
 
-    f is tested against every element of `small_integer_elements`, whose
-    common fixed space is exactly the invariant space (for a finite
-    group the list is every element), so True is a proof and False a
-    refutation by the first element that moves f.
+    f is tested against every element of `small_integer_elements`, a
+    generating set whose common fixed space is exactly the invariant
+    space (for a finite group, its given generators), so True is a
+    proof and False a refutation by the first element that moves f.
     """
     if f.sig != ctx.sig:
         raise ValueError("polynomial signature does not match the context")

@@ -441,12 +441,12 @@ def invariant_subspace_basis(
 ) -> KernelResult:
     """Exact basis of the degree-d invariants.
 
-    The constraints are every element of a finite group, or the fixed
-    `small_integer_elements` of a classical family, whose common fixed
-    space is the invariant space.  The scaled permutations among them
-    go through the orbit stage, which a classical family starts from the
-    torus-weight-zero monomials only, and every other element through
-    one cut.
+    The constraints are `small_integer_elements`, a generating set of
+    the group (the given generators of a finite group), whose common
+    fixed space is the invariant space.  The scaled permutations among
+    them go through the orbit stage, which a classical family starts
+    from the torus-weight-zero monomials only, and every other element
+    through one cut.
     """
     check_dim_cap(sig, d, dim_cap)
     ctx = ActionContext(spec, sig)
@@ -471,8 +471,8 @@ def invariant_subspace_basis(
         else:
             mono_elems.append(vm)
 
-    # every element list holds a scaled permutation: diag(-1, 1, ...)
-    # (o), kappa (sp), diag(2, 1, ...) (gl), the identity (finite)
+    # a finite group's generators may hold no scaled permutation: every
+    # monomial is then its own orbit and the cuts do all the work
     block_bases = [
         _orbit_kernel(_weight_zero_monomials(spec.family, sig, rep), mono_elems) for rep in reps
     ]

@@ -4,16 +4,14 @@ The base field is Q, realized by ``fractions.Fraction``: always reduced,
 positive denominator, zero stored as 0/1.  Everything downstream relies on
 these operations being exact; there is no floating point anywhere.
 Every exact elimination in the package runs through one sparse engine,
-``Echelon``; ``rref``, ``nullspace_basis`` and ``Matrix.det``,
-``Matrix.inverse`` and ``Matrix.rank`` are thin dense views of it.
+``Echelon``; ``rref``, ``nullspace_basis``, ``Matrix.inverse`` and
+``Matrix.rank`` are thin dense views of it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -81,10 +79,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
-
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
@@ -146,10 +140,6 @@ class Matrix:
                 out.append(s)
         return Matrix(n, m, out)
 
-    def scale(self, c) -> "Matrix":
-        c = _as_fraction(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.entries])
-
     def transpose(self) -> "Matrix":
         return Matrix(
             self.cols,
@@ -178,26 +168,6 @@ class Matrix:
         if len(lead) < n:
             raise SingularMatrixError(len(lead), n)
         return Matrix.from_rows([r[n:] for r in reduced])
-
-    def det(self) -> Fraction:
-        """Product of the echelon pivots times the sign of their column order."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant needs a square matrix")
-        echelon = Echelon()
-        det = ONE
-        cols = []
-        for i in range(self.rows):
-            r = echelon.insert(_keyed(self.row(i)))
-            if not r:
-                return ZERO
-            lead = max(r)
-            det *= r[lead]
-            cols.append(-lead)
-        for i, a in enumerate(cols):
-            for b in cols[i + 1 :]:
-                if a > b:
-                    det = -det
-        return det
 
     def rank(self) -> int:
         _, pivots = rref(self.row_lists())

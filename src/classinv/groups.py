@@ -277,7 +277,10 @@ def small_integer_elements(spec: GroupSpec) -> list[GroupElement]:
     """Fixed exact group elements whose invariants are the group's.
 
     A set and the group it generates fix the same vectors, so the list
-    only has to generate a group with the right invariants.  Its signed
+    only has to generate a group with the right invariants.  For a finite
+    group it is the given generators; the closure is still built, once
+    and cached, to prove the group finite within its cap, and it serves
+    `reynolds`.  For a classical family its signed
     (block) permutations generate the Weyl group W (Humphreys, *Reflection
     Groups and Coxeter Groups*, 1990, 1.5): for o(n), diag(-1, 1, ...)
     and the adjacent transpositions give every sign change and every
@@ -294,8 +297,7 @@ def small_integer_elements(spec: GroupSpec) -> list[GroupElement]:
     diag(2, 1, ...) adds the torus of GL and diag(-1, 1, ...) the
     determinant -1 of O(n), so the common fixed space of this list is
     exactly the invariant space.  The last element is the rotation (o),
-    the shear (gl, sp(2)) or the transvection (sp(n), n >= 4).  For a
-    finite group the list is every element.
+    the shear (gl, sp(2)) or the transvection (sp(n), n >= 4).
     """
     n = spec.n
     if spec.family == "o":
@@ -317,7 +319,8 @@ def small_integer_elements(spec: GroupSpec) -> list[GroupElement]:
         if n >= 2:
             out.append(_unit(n, {(0, 1): ONE}))
     else:
-        return list(group_elements(spec))
+        group_elements_matrices(spec)  # raises unless the group is finite
+        return [_element(spec, g) for g in spec.generators]
     for g in out:
         ensure(contains(spec, g), f"a built-in element is not in the {spec.family} group")
     return [_element(spec, g) for g in out]

@@ -105,6 +105,8 @@ class SpaceSignature:
 
 def space_dimension(sig: SpaceSignature, d: int) -> int:
     """dim of the homogeneous degree-d piece: C(N+d-1, d)."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
     return comb(sig.num_vars + d - 1, d)
 
 
@@ -128,8 +130,6 @@ def monomial_basis(
     sig: SpaceSignature, d: int, cap: int = DEFAULT_DIM_CAP
 ) -> list[Monomial]:
     """All degree-d monomials in graded-lex order (leading monomial first)."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
     check_dim_cap(sig, d, cap)
     return list(_exponents_desc(sig.num_vars, d))
 
@@ -337,13 +337,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_components(self) -> dict[int, "Polynomial"]:
-        """Split into degree pieces; keys are exactly the degrees present."""
-        buckets: dict[int, dict] = {}
-        for mono, coeff in self.terms.items():
-            buckets.setdefault(sum(mono), {})[mono] = coeff
-        return {d: Polynomial(self.sig, t) for d, t in sorted(buckets.items())}
 
     def copy_degrees(self) -> tuple | None:
         """Shared per-copy multidegree, or None if mixed or zero."""

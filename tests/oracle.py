@@ -7,9 +7,17 @@ shared with the package code, so agreement is meaningful.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import sympy as sp
+
+
+def det(m):
+    """Exact determinant of a classinv Matrix, as a Fraction."""
+    entries = [sp.Rational(x.numerator, x.denominator) for x in m.entries]
+    d = sp.Matrix(m.rows, m.cols, entries).det()
+    return Fraction(int(d.p), int(d.q))
 
 
 def _symbols(n, covectors, vectors):

@@ -1,19 +1,19 @@
 """The element lists `groups.small_integer_elements` used to enumerate.
 
-Before the classical lists were cut down to generators of the Weyl
-group plus the one-parameter elements, they listed whole subsets of the
-Weyl group: every sign mask, every transposition and every reflection
-times a transposition for o(n); every transposition for gl(n); kappa,
--1 and the shear on every pair, J and every pair swap for sp(n).  The
-tests keep that enumeration as a reference: a set and the group it
-generates fix the same polynomials, so both lists must give the same
-kernels and the same invariance decisions.
+Before the lists were cut down to generating sets, they listed whole
+subsets of the group: every sign mask, every transposition and every
+reflection times a transposition for o(n); every transposition for
+gl(n); kappa, -1 and the shear on every pair, J and every pair swap for
+sp(n); every element of a finite group.  The tests keep that
+enumeration as a reference: a set and the group it generates fix the
+same polynomials, so both lists must give the same kernels and the same
+invariance decisions.
 """
 
 from fractions import Fraction
 
 from classinv.exact import Matrix
-from classinv.groups import GroupSpec, _element, symplectic_form_matrix
+from classinv.groups import GroupSpec, _element, group_elements, symplectic_form_matrix
 
 
 def _unit(n, entries):
@@ -50,7 +50,7 @@ def reference_matrices(spec: GroupSpec) -> list[Matrix]:
             out.append(_unit(n, {(0, 1): 1}))
         return out
     if spec.family != "sp":
-        raise ValueError("finite groups list every element")
+        raise ValueError("only the classical families have a matrix enumeration")
     half = n // 2
     kappa = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): -1}
     minus2 = {(0, 0): -1, (1, 1): -1}
@@ -75,5 +75,8 @@ def reference_matrices(spec: GroupSpec) -> list[Matrix]:
 
 
 def reference_elements(spec: GroupSpec):
-    """The full enumeration as group elements, in the same order."""
+    """The full enumeration as group elements, in the same order; for a
+    finite group, every element."""
+    if spec.family == "finite":
+        return list(group_elements(spec))
     return [_element(spec, g) for g in reference_matrices(spec)]

@@ -21,6 +21,7 @@ from classinv.groups import (
     NotFiniteGroup,
     finite_group,
     general_linear,
+    group_elements,
     orthogonal,
     sample_element,
     small_integer_elements,
@@ -314,7 +315,8 @@ class TestVariableMap:
     def test_moves_each_monomial_as_act_does(self, spec, k):
         sig = SpaceSignature(n=spec.n, k=k, m=1)
         ctx = ActionContext(spec, sig)
-        elems = small_integer_elements(spec)
+        # every element of the finite group, not only its generator
+        elems = group_elements(spec) if spec.family == "finite" else small_integer_elements(spec)
         maps = [(e, certify._variable_map(sig, e)) for e in elems]
         maps = [(e, vm) for e, vm in maps if vm is not None]
         if spec.family == "finite":

@@ -395,6 +395,44 @@ class TestFiniteGroups:
         assert code == 1
         assert "error:" in err
 
+    # kernels and check impose only the generators, so the closure that
+    # proves the group finite must still run before any of them
+    @pytest.mark.parametrize(
+        "command",
+        [("basis", "--degree", "2"), ("gendeg", "--degree-bound", "2")],
+        ids=["basis", "gendeg"],
+    )
+    def test_infinite_order_rejected(self, capsys, tmp_path, command):
+        path = tmp_path / "rot.txt"
+        path.write_text("3/5 -4/5\n4/5 3/5\n")
+        code, _, err = run(
+            capsys,
+            command[0], "--group", "finite", "--group-file", str(path),
+            "--vectors", "1", *command[1:], "--max-order", "100",
+        )
+        assert code == 1
+        assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("check", "--expr", "x[1,1]^2"),
+            ("basis", "--degree", "2"),
+            ("gendeg", "--degree-bound", "2"),
+        ],
+        ids=["check", "basis", "gendeg"],
+    )
+    def test_singular_generator_rejected(self, capsys, tmp_path, command):
+        path = tmp_path / "singular.txt"
+        path.write_text("-1 0\n0 1\n\n1 1\n1 1\n")
+        code, _, err = run(
+            capsys,
+            command[0], "--group", "finite", "--group-file", str(path),
+            "--vectors", "1", *command[1:],
+        )
+        assert code == 1
+        assert "generators must be invertible" in err
+
     def test_rational_entries_finite_order(self, capsys, tmp_path):
         path = tmp_path / "half_turn.txt"
         path.write_text("-1 0\n0 -1\n")
@@ -470,6 +508,13 @@ class TestArgumentValidation:
             capsys, "fft-verify", "--group", "o", "--no-such-flag"
         )
         assert code == 1
+
+    def test_negative_degree(self, capsys):
+        code, _, err = run(
+            capsys, "basis", "--group", "o", "--n", "2", "--vectors", "1", "--degree", "-1"
+        )
+        assert code == 1
+        assert err == "error: degree must be nonnegative\n"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

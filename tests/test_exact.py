@@ -65,7 +65,7 @@ class TestInverse:
 
     def test_zero_matrix(self):
         with pytest.raises(SingularMatrixError) as exc:
-            Matrix.zero(2, 2).inverse()
+            Matrix.from_rows([[0, 0], [0, 0]]).inverse()
         assert exc.value.rank == 0
 
     def test_random_roundtrip(self):
@@ -110,7 +110,7 @@ class TestRref:
 
 class TestNullspace:
     def test_zero_row_full_kernel(self):
-        basis = nullspace_basis(Matrix.zero(1, 2))
+        basis = nullspace_basis(Matrix.from_rows([[0, 0]]))
         assert len(basis) == 2
 
     def test_sum_constraint(self):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from classinv.certify import _variable_map
+from classinv.certify import _variable_map, invariant_subspace_basis
 from classinv.exact import Echelon, Matrix, SingularMatrixError
 from classinv.groups import (
     ClosureCapExceeded,
@@ -23,6 +23,7 @@ from classinv.groups import (
 )
 from classinv.poly import SpaceSignature
 
+from oracle import det
 from reference_elements import reference_matrices
 
 
@@ -98,7 +99,7 @@ class TestSpecValidation:
 
 class TestCayley:
     def test_zero_gives_identity(self):
-        assert cayley(Matrix.zero(3, 3)) == Matrix.identity(3)
+        assert cayley(mat([[0] * 3] * 3)) == Matrix.identity(3)
 
     def test_kappa_gives_quarter_turn(self):
         assert cayley(KAPPA) == mat([[0, -1], [1, 0]])
@@ -121,15 +122,14 @@ class TestSampling:
             el = sample_element(spec, seed)
             assert el.g.transpose() @ el.g == Matrix.identity(n)
             assert el.g @ el.g_inv == Matrix.identity(n)
-            dets.add(el.g.det())
+            dets.add(det(el.g))
         assert dets == {Fraction(1), Fraction(-1)}
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_orthogonal_det_tracks_seed_parity(self, n):
         spec = orthogonal(n)
         for seed in range(20):
-            det = sample_element(spec, seed).g.det()
-            assert det == (-1 if seed % 2 else 1)
+            assert det(sample_element(spec, seed).g) == (-1 if seed % 2 else 1)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_orthogonal_samples_are_not_signed_permutations(self, n):
@@ -187,6 +187,12 @@ class TestFiniteClosure:
     def test_infinite_generator_hits_cap(self):
         with pytest.raises(ClosureCapExceeded):
             finite_closure([mat([[2]])], cap=100)
+
+    def test_kernel_proves_finiteness_first(self):
+        # the kernel imposes the generator alone, which has infinite order
+        rot = mat([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]])
+        with pytest.raises(ClosureCapExceeded):
+            invariant_subspace_basis(finite_group([rot], cap=100), SpaceSignature(2, 0, 1), 2)
 
     def test_idempotent(self):
         elems = finite_closure([mat([[0, 1], [1, 0]])])
@@ -268,7 +274,7 @@ def _lie_closure_dim(spec: GroupSpec) -> int:
                 weyl.append(el)
             continue
         x = el.g - eye
-        if x @ x == Matrix.zero(n, n):
+        if x @ x == mat([[0] * n] * n):
             queue.append(x)  # unipotent: g = exp(g - I)
         else:
             # the 3-4-5 rotation: not unipotent, and its log is an
@@ -306,7 +312,7 @@ class TestCompleteness:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_o(self, n):
         assert _lie_closure_dim(orthogonal(n)) == n * (n - 1) // 2
-        assert any(el.g.det() == -1 for el in small_integer_elements(orthogonal(n)))
+        assert any(det(el.g) == -1 for el in small_integer_elements(orthogonal(n)))
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_sp(self, n):
