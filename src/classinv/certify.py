@@ -16,6 +16,14 @@ fixed space is exactly the invariant space, so the kernel is the
 invariant space itself and inequality refutes the spanning claim at
 that degree.
 
+An element u with (u - 1)^2 = 0 (the shears and the symplectic
+transvection) is imposed through the derivation D that u - 1 induces
+(`action.derivation`) instead of act(u, .) - id.  The substitution of
+u is exp(D), and exp(D) - 1 = D (1 + D/2! + ...) whose second factor
+is unipotent, hence invertible, so the two constraints have one kernel
+on every graded piece and the sandwich is unchanged (Derksen and
+Kemper, *Computational Invariant Theory*, 2nd ed., 2015).
+
 Kernels are computed block by block: the action rewrites each copy's
 coordinates within the copy, so the per-copy multidegree splits a graded
 piece into independent blocks and no matrix ever reaches the full graded
@@ -24,10 +32,12 @@ dimension.  How an element moves the variables is stated once, by
 g^-1 itself.  When every variable's form there has a single term, the
 element acts by monomial relabeling, and the combined constraint set
 of such elements is solved by one integer-weighted walk per monomial
-orbit before any row reduction happens; dense elements then cut the
-small surviving space, one `act` per surviving vector, whose
-substitution builds each monomial's image from memoized lower-degree
-images.
+orbit before any row reduction happens; the other elements then cut
+the small surviving space.  A unipotent one maps each surviving vector
+to D v, whose terms are each monomial's variables moved one at a time,
+with integer coefficients; any other (the 3-4-5 rotation, a finite
+group's generators) to one `act`, whose substitution builds each
+monomial's image from memoized lower-degree images.
 
 Blocks come in copy-permutation classes.  Every vector copy is moved by
 the same g^-1 and every covector copy by the same g^T, so permuting
@@ -37,6 +47,10 @@ to the kernel of block mu.  Only each class's representative, whose
 covector degrees and vector degrees are each sorted descending, goes
 through the orbit walk and the cuts; every other block relabels the
 representative's surviving vectors copy by copy, coefficients unchanged.
+The product span splits the same way: a copy permutation carries the
+products of block mu onto those of block sigma(mu) up to sign, so
+`fft_verify` ranks only the products in each representative block and
+weights each rank by its class size (`_class_spans`).
 Each block is then put in reduced echelon form over the monomials its
 vectors use; that form is unique for the space, so the basis does not
 depend on which block was computed.
@@ -61,17 +75,18 @@ walk (see Procesi, *Lie Groups*, 2007).
 
 Every rank here is one sparse ``exact.Echelon`` over rows keyed by
 monomial: product spans and decompositions insert expanded products, and
-a dense element's cut inserts the rows (g - 1) v and keeps the relations
-among them as the surviving combinations.
+a cut inserts the rows D v or (g - 1) v and keeps the relations among
+them as the surviving combinations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add, itemgetter, neg, pos, xor
 
-from .action import ActionContext, act, is_invariant, substitution
+from .action import ActionContext, act, derivation, is_invariant, substitution
 from .exact import Echelon, ONE, ZERO, add_scaled, ensure, rref
 from .groups import GroupElement, GroupSpec, small_integer_elements
 from .poly import (
@@ -89,6 +104,13 @@ from .poly import (
 
 class NotInvariant(ValueError):
     pass
+
+
+class ProductCapExceeded(ValueError):
+    def __init__(self, count: int, d: int, cap: int):
+        self.count = count
+        self.cap = cap
+        super().__init__(f"degree {d} has {count} generator products, above the cap {cap}")
 
 
 class NotInSpan(ValueError):
@@ -222,23 +244,67 @@ class ProductSpan:
         return [self.products[i][1] for i in self.independent]
 
 
+def _product_count(weights: list[int], d: int, dim_cap: int) -> int:
+    """How many products of generators of these degrees have degree d;
+    ProductCapExceeded above dim_cap, before any product is built."""
+    ways = [1] + [0] * d
+    for w in weights:
+        for t in range(w, d + 1):
+            ways[t] += ways[t - w]
+    if ways[d] > dim_cap:
+        raise ProductCapExceeded(ways[d], d, dim_cap)
+    return ways[d]
+
+
+def _quadratic_exponents(count: int, d: int):
+    """Exponent vectors of the degree-d products of `count` quadratic
+    generators, in graded-lex order: none for odd d."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    if d % 2 or (d > 0 and not count):
+        return []
+    return _exponents_desc(count, d // 2) if count else [()]
+
+
 def _generator_products(spec: GroupSpec, sig: SpaceSignature, d: int):
     """The contraction generators and their degree-d products, expanded:
     (generators, [(exponents over generators, Polynomial)]), the products
-    in graded-lex order.
-
-    Generators are quadratic, so odd d has no products at all.
-    """
+    in graded-lex order."""
     gens = tuple(generators_for(spec, sig))
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    if d % 2 or (d > 0 and not gens):
-        return gens, []
     expansions = [contraction(g, sig) for g in gens]
     return gens, [
         (tuple(exps), _power_product(sig, expansions, exps))
-        for exps in (_exponents_desc(max(len(gens), 1), d // 2) if gens else [()])
+        for exps in _quadratic_exponents(len(gens), d)
     ]
+
+
+def _class_spans(spec: GroupSpec, sig: SpaceSignature, d: int, classes: dict) -> tuple:
+    """(representative, class size, rank) for each copy-permutation class:
+    the rank of the degree-d products whose copy degrees are the
+    representative's.
+
+    A copy permutation sigma sends s(i,j) to s(sigma i, sigma j) and
+    w(i,j) to +-w(sigma i, sigma j), and permutes the covectors and the
+    vectors of c(i,j) separately, so it carries block mu's products onto
+    block sigma(mu)'s up to sign, and both have one rank.  Blocks share
+    no monomial, so the span's dimension is the sum of class size times
+    rank, and only the representatives' products are expanded.
+    """
+    gens = generators_for(spec, sig)
+    # the two copies each contraction pairs, 0-based, covectors first
+    first = 0 if spec.family == "gl" else sig.k
+    copies = [(first + g.i - 1, sig.k + g.j - 1) for g in gens]
+    expansions = [contraction(g, sig) for g in gens]
+    echelons = {rep: Echelon() for rep in classes}
+    for exps in _quadratic_exponents(len(gens), d):
+        comp = [0] * sig.num_copies
+        for (a, b), e in zip(copies, exps):
+            comp[a] += e
+            comp[b] += e
+        echelon = echelons.get(tuple(comp))
+        if echelon is not None:
+            echelon.insert(_power_product(sig, expansions, exps).terms)
+    return tuple((rep, len(classes[rep]), echelons[rep].rank) for rep in classes)
 
 
 def generator_products_basis(
@@ -360,6 +426,17 @@ def _copy_class(sig: SpaceSignature, comp: tuple):
     return tuple(comp[c] for c in order), _picker(src)
 
 
+def _copy_classes(sig: SpaceSignature, d: int) -> dict:
+    """The blocks of degree d by copy-permutation class: each
+    representative (see _copy_class) with the relabellings onto its
+    blocks, one per block."""
+    classes: dict = {}
+    for comp in _exponents_desc(sig.num_copies, d):
+        rep, relabel = _copy_class(sig, comp)
+        classes.setdefault(rep, []).append(relabel)
+    return classes
+
+
 def _orbit_kernel(monos: list[Monomial], varmaps: list) -> list[dict]:
     """Exact joint kernel of act(g)-id for scaled-permutation elements.
 
@@ -401,20 +478,69 @@ def _orbit_kernel(monos: list[Monomial], varmaps: list) -> list[dict]:
     return basis
 
 
-def _generic_cut(ctx: ActionContext, elem: GroupElement, vectors: list[dict]) -> list[dict]:
-    """Intersect the span of `vectors` with the kernel of act(elem) - id.
+def _derive(moves: list, scale: int, v: dict) -> dict:
+    """D v, for the derivation D that sends each variable x of `moves`
+    to its form divided by `scale`, and the others to 0.
 
-    Row i is (elem - 1) v_i, inserted into an Echelon with tag i.  Each row
-    that reduces to zero gives a relation sum c_i (elem - 1) v_i = 0, so
-    sum c_i v_i is fixed by elem, and the relations span every such
-    combination.  The vectors returned are independent but not canonical;
-    invariant_subspace_basis re-echelons each block once at the end.
+    A form is a tuple of (variable, integer numerator) pairs.  The terms
+    are collected as integers over v's common denominator times scale,
+    and each output term is divided once.
+    """
+    den = lcm(*(c.denominator for c in v.values()))
+    acc: dict = {}
+    for m, c in v.items():
+        p = c.numerator * (den // c.denominator)
+        for x, form in moves:
+            e = m[x]
+            if not e:
+                continue
+            pe = p * e
+            base = m[:x] + (e - 1,) + m[x + 1 :]
+            for u, fc in form:
+                mono = base[:u] + (base[u] + 1,) + base[u + 1 :]
+                acc[mono] = acc.get(mono, 0) + pe * fc
+    den *= scale
+    return {m: Fraction(t, den) for m, t in acc.items() if t}
+
+
+def _cut_rows(ctx: ActionContext, elem: GroupElement):
+    """The map v -> row of elem's cut: D v when elem has a derivation D
+    (`action.derivation`), whose kernel is the space elem fixes, and
+    act(elem, v) - v otherwise."""
+    forms = derivation(ctx.sig, elem)
+    if forms is None:
+
+        def row(v):
+            w = dict(act(ctx, elem, Polynomial(ctx.sig, v)).terms)
+            add_scaled(w, -ONE, v)
+            return w
+
+        return row
+    scale = lcm(*(c.denominator for form in forms for _, c in form))
+    moves = [
+        (x, tuple((u, c.numerator * (scale // c.denominator)) for u, c in form))
+        for x, form in enumerate(forms)
+        if form
+    ]
+    return lambda v: _derive(moves, scale, v)
+
+
+def _generic_cut(rows, vectors: list[dict]) -> list[dict]:
+    """Intersect the span of `vectors` with the kernel of one element's
+    constraint, the linear map `rows` from `_cut_rows`.
+
+    Row i is rows(v_i): D v_i for an element imposed through its
+    nilpotent logarithm (the sp shear and transvection, the gl shear),
+    (elem - 1) v_i for any other.  It is inserted into an Echelon with
+    tag i.  Each row that reduces to zero gives a relation
+    sum c_i rows(v_i) = 0, so sum c_i v_i is in the kernel, and the
+    relations span every such combination.  The vectors returned are
+    independent but not canonical; invariant_subspace_basis re-echelons
+    each block once at the end.
     """
     echelon = Echelon()
     for i, v in enumerate(vectors):
-        w = dict(act(ctx, elem, Polynomial(ctx.sig, v)).terms)
-        add_scaled(w, -ONE, v)
-        echelon.insert(w, i)
+        echelon.insert(rows(v), i)
     out = []
     for relation in echelon.relations:
         nv: dict = {}
@@ -446,14 +572,11 @@ def invariant_subspace_basis(
     fixed space is the invariant space.  The scaled permutations among
     them go through the orbit stage, which a classical family starts
     from the torus-weight-zero monomials only, and every other element
-    through one cut.
+    through one cut, by its derivation when it has one.
     """
     check_dim_cap(sig, d, dim_cap)
     ctx = ActionContext(spec, sig)
-    classes: dict = {}  # representative -> relabellings onto its blocks
-    for comp in _exponents_desc(sig.num_copies, d):
-        rep, relabel = _copy_class(sig, comp)
-        classes.setdefault(rep, []).append(relabel)
+    classes = _copy_classes(sig, d)
     reps = list(classes)
 
     def weighted_dim(bases):
@@ -480,8 +603,8 @@ def invariant_subspace_basis(
     ensure(dim <= history[-1], f"the orbit stage grew the kernel to {dim}")
     history.append(dim)
 
-    for e in generic_elems:
-        block_bases = [_generic_cut(ctx, e, vecs) for vecs in block_bases]
+    for rows in [_cut_rows(ctx, e) for e in generic_elems]:
+        block_bases = [_generic_cut(rows, vecs) for vecs in block_bases]
         new_dim = weighted_dim(block_bases)
         ensure(new_dim <= dim, f"a cut grew the kernel from {dim} to {new_dim}")
         dim = new_dim
@@ -526,6 +649,8 @@ class CertReport:
     samples_used: int
     seed: int
     free_products: int
+    dim_history: tuple  # the kernel's, from the graded piece to dim_kernel
+    span_by_class: tuple  # (representative, class size, rank) per class
 
     def __post_init__(self):
         if not self.dim_span <= self.dim_kernel <= self.dim_space:
@@ -535,6 +660,10 @@ class CertReport:
             )
         if self.certified != (self.dim_span == self.dim_kernel):
             raise ValueError("certified flag contradicts the dimensions")
+        if sum(size * rank for _, size, rank in self.span_by_class) != self.dim_span:
+            raise ValueError("the class ranks do not add up to the span dimension")
+        if self.dim_history[-1] != self.dim_kernel:
+            raise ValueError("the kernel history does not end at the kernel dimension")
 
 
 def fft_verify(
@@ -551,7 +680,8 @@ def fft_verify(
     the invariants are inside the computed kernel, and the outer
     dimensions agree.  The kernel is the invariant space itself, so
     certified=False would mean the contractions miss an invariant.
-    `seed` is only echoed in the report.
+    The span is ranked one copy-permutation class at a time
+    (`_class_spans`).  `seed` is only echoed in the report.
     """
     if spec.family not in ("gl", "o", "sp"):
         raise ValueError("certification applies to the classical families only")
@@ -559,19 +689,24 @@ def fft_verify(
         raise ValueError(
             "orthogonal and symplectic sessions use vector copies only"
         )
-    span = generator_products_basis(spec, sig, d)
+    check_dim_cap(sig, d, dim_cap)
+    free = _product_count([2] * len(generators_for(spec, sig)), d, dim_cap)
     kr = invariant_subspace_basis(spec, sig, d, dim_cap=dim_cap)
+    by_class = _class_spans(spec, sig, d, _copy_classes(sig, d))
+    dim_span = sum(size * rank for _, size, rank in by_class)
     return CertReport(
         group=spec,
         sig=sig,
         degree=d,
         dim_space=space_dimension(sig, d),
         dim_kernel=kr.dim,
-        dim_span=span.dim_span,
-        certified=span.dim_span == kr.dim,
+        dim_span=dim_span,
+        certified=dim_span == kr.dim,
         samples_used=kr.samples_used,
         seed=seed,
-        free_products=span.free_count,
+        free_products=free,
+        dim_history=kr.dim_history,
+        span_by_class=by_class,
     )
 
 
@@ -600,11 +735,15 @@ def decompose_in_generators(
     spec: GroupSpec,
     sig: SpaceSignature,
     f: Polynomial,
+    *,
+    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> GeneratorCombination:
     """Write a homogeneous invariant as a polynomial in the contractions.
 
     Invariance is decided first, exactly, by `action.is_invariant`; a
-    polynomial moved by a group element raises NotInvariant.
+    polynomial moved by a group element raises NotInvariant.  More than
+    dim_cap products of f's degree raise ProductCapExceeded before any
+    is expanded.
 
     Relations make representations non-unique; the returned one is
     canonical: products are eliminated in graded-lex order and every
@@ -617,8 +756,10 @@ def decompose_in_generators(
     ctx = ActionContext(spec, sig)
     if not is_invariant(ctx, f):
         raise NotInvariant("polynomial is moved by a group element")
+    gens = tuple(generators_for(spec, sig))
     if not f:
-        return GeneratorCombination(tuple(generators_for(spec, sig)), (), sig)
+        return GeneratorCombination(gens, (), sig)
+    _product_count([2] * len(gens), f.degree(), dim_cap)
     gens, products = _generator_products(spec, sig, f.degree())
     echelon = Echelon()
     for idx, (_, p) in enumerate(products):
@@ -674,17 +815,19 @@ def minimal_generator_degrees(
     invariant dimension minus the rank of products of generators already
     found.  The degree multiset is independent of the choices made along
     the way; the basis vectors picked to extend the generator list are
-    merely one canonical realization.  `seed` is only echoed in the
-    report.
+    merely one canonical realization.  More than dim_cap products at a
+    degree raise ProductCapExceeded before that degree's kernel.  `seed`
+    is only echoed in the report.
     """
     if bound < 1:
         raise ValueError("the degree bound must be at least 1")
     found: list[tuple[int, Polynomial]] = []
     new_by_degree: dict[int, int] = {}
     for d in range(1, bound + 1):
+        weights = [dg for dg, _ in found]
+        _product_count(weights, d, dim_cap)
         kr = invariant_subspace_basis(spec, sig, d, dim_cap=dim_cap)
         echelon = Echelon()
-        weights = [dg for dg, _ in found]
         factors = [gpoly for _, gpoly in found]
         for exps in _weighted_exponents(weights, d):
             echelon.insert(_power_product(sig, factors, exps).terms)

@@ -329,7 +329,7 @@ def cmd_fft_verify(args) -> int:
 def cmd_decompose(args) -> int:
     spec, sig = make_session(args)
     f = parse_expression(args.expr, sig, spec.family, dim_cap=args.dim_cap)
-    comb = decompose_in_generators(spec, sig, f)
+    comb = decompose_in_generators(spec, sig, f, dim_cap=args.dim_cap)
     out = {
         **_prefix(spec, sig),
         "degree": 0 if f.degree() is None else f.degree(),

@@ -297,15 +297,30 @@ def small_integer_elements(spec: GroupSpec) -> list[GroupElement]:
     diag(2, 1, ...) adds the torus of GL and diag(-1, 1, ...) the
     determinant -1 of O(n), so the common fixed space of this list is
     exactly the invariant space.  The last element is the rotation (o),
-    the shear (gl, sp(2)) or the transvection (sp(n), n >= 4).
+    the shear (gl, sp(2)) or the transvection (sp(n), n >= 4).  The
+    shears and the transvection satisfy (g - 1)^2 = 0, so `certify`
+    imposes them through their nilpotent logarithm g - 1, acting on
+    polynomials as a derivation whose kernel is the space g fixes.
+
+    A classical list is built, and each element checked to lie in the
+    group, once per (family, n).  A finite group's list is not cached:
+    it rests on the cached closure, which callers may clear.
     """
-    n = spec.n
-    if spec.family == "o":
+    if spec.family == "finite":
+        group_elements_matrices(spec)  # raises unless the group is finite
+        return [_element(spec, g) for g in spec.generators]
+    return list(_classical_elements(spec.family, spec.n))
+
+
+@lru_cache(maxsize=None)
+def _classical_elements(family: str, n: int) -> tuple:
+    spec = GroupSpec(family, n)
+    if family == "o":
         out = [_reflection(n)] + [_swap(n, (a, a + 1)) for a in range(n - 1)]
         if n >= 2:
             c, s = Fraction(3, 5), Fraction(4, 5)
             out.append(_unit(n, {(0, 0): c, (1, 1): c, (0, 1): -s, (1, 0): s}))
-    elif spec.family == "sp":
+    elif family == "sp":
         out = [
             _unit(n, {(0, 0): ZERO, (1, 1): ZERO, (0, 1): ONE, (1, 0): -ONE}),
             _unit(n, {(0, 1): ONE}),
@@ -314,13 +329,10 @@ def small_integer_elements(spec: GroupSpec) -> list[GroupElement]:
         if n >= 4:
             # I + J v v^T, v = e1 + e3: rows 2 and 4 lose x1 + x3
             out.append(_unit(n, {(a, b): -ONE for a in (1, 3) for b in (0, 2)}))
-    elif spec.family == "gl":
+    else:
         out = [_swap(n, (a, a + 1)) for a in range(n - 1)] + [_unit(n, {(0, 0): Fraction(2)})]
         if n >= 2:
             out.append(_unit(n, {(0, 1): ONE}))
-    else:
-        group_elements_matrices(spec)  # raises unless the group is finite
-        return [_element(spec, g) for g in spec.generators]
     for g in out:
-        ensure(contains(spec, g), f"a built-in element is not in the {spec.family} group")
-    return [_element(spec, g) for g in out]
+        ensure(contains(spec, g), f"a built-in element is not in the {family} group")
+    return tuple(_element(spec, g) for g in out)

@@ -281,7 +281,7 @@ class TestExactAgainstSampled:
                 certify._block_monomials(sig, comp), [vm for vm in maps if vm is not None]
             )
             for e in generic[:-1]:
-                vecs = certify._generic_cut(ctx, e, vecs)
+                vecs = certify._generic_cut(certify._cut_rows(ctx, e), vecs)
             moved = moved or next(
                 (f for f in (Polynomial(sig, v) for v in vecs) if act(ctx, generic[-1], f) != f),
                 None,

@@ -197,6 +197,46 @@ class TestCheck:
         assert "above the cap 50" in err
 
 
+
+class TestProductCap:
+    """Generator products are counted before any is expanded: a count
+    above --dim-cap is an error at once, as is a graded piece above it."""
+
+    # o n=1 with six vectors: 6188 monomials of degree 12, but 230230
+    # products of the 21 contractions s(i,j)
+    SESSION = ("--group", "o", "--n", "1", "--vectors", "6")
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (
+                ("fft-verify", "--group", "o", "--n", "1", "--vectors", "10", "--degree", "20"),
+                "graded piece has dimension 10015005, above the cap 200000",
+            ),
+            (
+                ("fft-verify", *SESSION, "--degree", "12", "--dim-cap", "10000"),
+                "degree 12 has 230230 generator products, above the cap 10000",
+            ),
+            (
+                ("decompose", *SESSION, "--expr", "s(1,1)^6", "--dim-cap", "10000"),
+                "degree 12 has 230230 generator products, above the cap 10000",
+            ),
+            # degree 8 has 1287 monomials but 10626 products of degree-2 generators
+            (
+                ("gendeg", *SESSION, "--degree-bound", "12", "--dim-cap", "10000"),
+                "degree 8 has 10626 generator products, above the cap 10000",
+            ),
+        ],
+        ids=["fft-verify-space", "fft-verify-products", "decompose", "gendeg"],
+    )
+    def test_refused_at_once(self, capsys, argv, reason):
+        t0 = time.monotonic()
+        code, _, err = run(capsys, *argv)
+        assert time.monotonic() - t0 < 2
+        assert code == 1
+        assert err == f"error: {reason}\n"
+
+
 class TestBasis:
     def test_sum_of_squares(self, capsys):
         code, data, _ = run_json(

@@ -59,7 +59,7 @@ def test_only_groups_names_the_sampler():
 
 
 def test_a_cut_that_grows_the_kernel_is_an_error(monkeypatch):
-    def growing_cut(ctx, elem, vectors):
+    def growing_cut(rows, vectors):
         return vectors + [dict(vectors[0])] if vectors else vectors
 
     monkeypatch.setattr(certify, "_generic_cut", growing_cut)
@@ -68,6 +68,8 @@ def test_a_cut_that_grows_the_kernel_is_an_error(monkeypatch):
 
 
 def test_a_built_in_element_outside_the_group_is_an_error(monkeypatch):
+    # a classical list is checked once per (family, n) and then cached
+    groups._classical_elements.cache_clear()
     monkeypatch.setattr(groups, "contains", lambda spec, g: False)
     with pytest.raises(ConsistencyError, match="not in the o group"):
         groups.small_integer_elements(orthogonal(2))

@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from classinv.certify import generator_products_basis, invariant_subspace_basis
+from classinv.certify import fft_verify, generator_products_basis, invariant_subspace_basis
 from classinv.groups import general_linear, orthogonal, symplectic
 from classinv.poly import SpaceSignature, _exponents_desc
 
@@ -48,3 +48,19 @@ def test_block_dims_match_closed_form(family, n, k, m):
         assert blocks == Counter({c: v for c, v in expected.items() if v}), d
         assert res.dim == invariant_dim(family, n, k, m, d), d
         assert generator_products_basis(spec, sig, d).dim_span == res.dim, d
+
+
+@pytest.mark.parametrize(
+    "family,n,k,m,degrees",
+    [cell + (range(7),) for cell in _GRID] + [("o", 3, 0, 4, (6,)), ("sp", 4, 0, 4, (6,))],
+    ids=lambda v: v if isinstance(v, str) else str(v),
+)
+def test_class_spans_match_the_full_span(family, n, k, m, degrees):
+    # fft_verify ranks the products of one block per copy-permutation
+    # class and weights each rank by the class size
+    spec, sig = _MAKE[family](n), SpaceSignature(n, k, m)
+    for d in degrees:
+        span = generator_products_basis(spec, sig, d)
+        rep = fft_verify(spec, sig, d)
+        assert (rep.dim_span, rep.free_products) == (span.dim_span, span.free_count), d
+        assert sum(size for _, size, _ in rep.span_by_class) == len(list(_exponents_desc(k + m, d)))

@@ -329,7 +329,7 @@ class TestOrbitStage:
             orbit = certify._orbit_kernel(monos, [vm for _, vm in pairs])
             dense = [{mono: ONE} for mono in monos]
             for e, _ in pairs:
-                dense = certify._generic_cut(ctx, e, dense)
+                dense = certify._generic_cut(certify._cut_rows(ctx, e), dense)
             assert self.canonical(orbit, monos) == self.canonical(dense, monos)
             total += len(orbit)
         assert total <= space_dimension(sig, d)
@@ -351,7 +351,7 @@ class TestCopyClasses:
             vecs = certify._orbit_kernel(monos, orbit_maps)
             for e, vm in maps:
                 if vm is None:
-                    vecs = certify._generic_cut(ctx, e, vecs)
+                    vecs = certify._generic_cut(certify._cut_rows(ctx, e), vecs)
             reduced, _ = rref([[v.get(m, 0) for m in monos] for v in vecs])
             out[comp] = [Polynomial(sig, dict(zip(monos, r))) for r in reduced]
         return out
@@ -554,6 +554,18 @@ class TestCertification:
     def test_covectors_rejected_for_orthogonal(self):
         with pytest.raises(ValueError):
             fft_verify(orthogonal(2), SpaceSignature(n=2, k=1, m=1), 2)
+
+    def test_report_carries_the_history_and_the_class_ranks(self):
+        # o n=2, three vectors, d=4: the class of (4,0,0) holds s(1,1)^2,
+        # that of (3,1,0) s(1,1)s(1,2), that of (2,2,0) s(1,1)s(2,2) and
+        # s(1,2)^2, that of (2,1,1) s(1,1)s(2,3) and s(1,2)s(1,3)
+        spec, sig = orthogonal(2), SpaceSignature(n=2, k=0, m=3)
+        rep = fft_verify(spec, sig, 4)
+        assert rep.dim_history == invariant_subspace_basis(spec, sig, 4).dim_history
+        rows = {r: (size, rank) for r, size, rank in rep.span_by_class}
+        assert rows == {(4, 0, 0): (3, 1), (3, 1, 0): (6, 1), (2, 2, 0): (3, 2), (2, 1, 1): (3, 2)}
+        assert rep.dim_span == 3 + 6 + 6 + 6 == rep.free_products
+        assert rep.dim_history[-1] == rep.dim_kernel
 
 
 class TestDecompose:

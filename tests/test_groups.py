@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from classinv import groups
 from classinv.certify import _variable_map, invariant_subspace_basis
 from classinv.exact import Echelon, Matrix, SingularMatrixError
 from classinv.groups import (
@@ -227,6 +228,27 @@ class TestSmallIntegerElements:
         for el in els:
             assert contains(spec, el.g)
             assert el.g @ el.g_inv == Matrix.identity(spec.n)
+
+    def test_classical_lists_are_built_once(self):
+        # a classical list is built and checked once per (family, n); every
+        # call gets its own list, so a caller cannot change the next one's
+        first = small_integer_elements(orthogonal(3))
+        hits = groups._classical_elements.cache_info().hits
+        second = small_integer_elements(orthogonal(3))
+        assert groups._classical_elements.cache_info().hits == hits + 1
+        assert first == second and first is not second
+
+    def test_finite_lists_rest_on_the_closure_each_time(self, monkeypatch):
+        # clearing the closure cache makes the next call close the group
+        # again, as a fresh process does
+        calls = []
+        closure = groups.finite_closure
+        monkeypatch.setattr(groups, "finite_closure", lambda *a: calls.append(1) or closure(*a))
+        spec = finite_group([mat([[0, 1], [1, 0]])])
+        for _ in range(2):
+            groups.group_elements_matrices.cache_clear()
+            assert [e.g for e in small_integer_elements(spec)] == list(spec.generators)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "spec,order",
