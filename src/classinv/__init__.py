@@ -1,7 +1,7 @@
 """Exact-arithmetic construction and certification of the basic
 invariants of the classical groups."""
 
-from .action import ActionContext, act, is_invariant, reynolds, transform_point
+from .action import ActionContext, act, is_invariant, reynolds
 from .certify import (
     CertReport,
     GeneratorCombination,
@@ -46,7 +46,6 @@ from .poly import (
     Polynomial,
     SpaceSignature,
     VarKind,
-    monomial_basis,
     space_dimension,
 )
 

@@ -80,32 +80,6 @@ def act(ctx: ActionContext, elem: GroupElement, f: Polynomial) -> Polynomial:
     return f.substitute_linear(substitution(ctx.sig, elem))
 
 
-def transform_point(ctx: ActionContext, elem: GroupElement, point) -> list:
-    """Move a point of the representation space: covector rows by g^-1 on
-    the right, vector columns by g on the left.
-
-    The compatibility evaluate(act(g, f), p) = evaluate(f, transform_point
-    (g^-1, p)) then holds with g^-1 the swapped element.
-    """
-    sig = ctx.sig
-    point = [Fraction(v) if not isinstance(v, Fraction) else v for v in point]
-    if len(point) != sig.num_vars:
-        raise ValueError(f"point has {len(point)} coordinates, need {sig.num_vars}")
-    n = sig.n
-    out: list = []
-    for i in range(sig.k):
-        row = point[i * n : (i + 1) * n]
-        # row vector times g^-1
-        out.extend(
-            sum(row[a] * elem.g_inv.at(a, b) for a in range(n)) for b in range(n)
-        )
-    base = sig.k * n
-    for j in range(sig.m):
-        col = point[base + j * n : base + (j + 1) * n]
-        out.extend(elem.g.apply(col))
-    return out
-
-
 def is_invariant(ctx: ActionContext, f: Polynomial) -> bool:
     """Decide invariance exactly.
 

@@ -47,10 +47,13 @@ to the kernel of block mu.  Only each class's representative, whose
 covector degrees and vector degrees are each sorted descending, goes
 through the orbit walk and the cuts; every other block relabels the
 representative's surviving vectors copy by copy, coefficients unchanged.
-The product span splits the same way: a copy permutation carries the
-products of block mu onto those of block sigma(mu) up to sign, so
-`fft_verify` ranks only the products in each representative block and
-weights each rank by its class size (`_class_spans`).
+The product span splits the same way: every contraction is homogeneous
+in each copy, so every product lies in one block, and a copy
+permutation carries the products of block mu onto those of block
+sigma(mu) up to sign.  So `fft_verify` ranks only the products in each
+representative block and weights each rank by its class size
+(`_class_spans`), and `decompose_in_generators` expands only the
+products in the blocks of f's monomials.
 Each block is then put in reduced echelon form over the monomials its
 vectors use; that form is unique for the space, so the basis does not
 depend on which block was computed.
@@ -98,6 +101,7 @@ from .poly import (
     _exponents_desc,
     check_dim_cap,
     grlex_key,
+    integer_forms,
     linear_forms,
     space_dimension,
 )
@@ -127,6 +131,10 @@ class NotInSpan(ValueError):
 # generators
 
 
+# each family's contraction letter, as written in expressions
+SHORTHAND = {"gl": "c", "o": "s", "sp": "w"}
+
+
 @dataclass(frozen=True, order=True)
 class GeneratorId:
     """A degree-2 contraction: dual pairing ('gl'), symmetric form ('o'),
@@ -137,14 +145,13 @@ class GeneratorId:
     j: int
 
     def __post_init__(self):
-        if self.family not in ("gl", "o", "sp"):
+        if self.family not in SHORTHAND:
             raise ValueError(f"unknown contraction family {self.family!r}")
         if self.i < 1 or self.j < 1:
             raise ValueError("copy indices are 1-based")
 
     def symbol(self) -> str:
-        letter = {"gl": "c", "o": "s", "sp": "w"}[self.family]
-        return f"{letter}({self.i},{self.j})"
+        return f"{SHORTHAND[self.family]}({self.i},{self.j})"
 
 
 def contraction(gen: GeneratorId, sig: SpaceSignature) -> Polynomial:
@@ -256,32 +263,37 @@ def _product_count(weights: list[int], d: int, dim_cap: int) -> int:
     return ways[d]
 
 
-def _quadratic_exponents(count: int, d: int):
-    """Exponent vectors of the degree-d products of `count` quadratic
-    generators, in graded-lex order: none for odd d."""
+def _weighted_exponents(weights: list[int], total: int):
+    """Exponent vectors e with sum e_i * weights[i] = total, lex descending."""
+    if not weights:
+        if total == 0:
+            yield ()
+        return
+    w = weights[0]
+    for e in range(total // w, -1, -1):
+        for rest in _weighted_exponents(weights[1:], total - e * w):
+            yield (e,) + rest
+
+
+def _contraction_products(sig: SpaceSignature, expansions: list[Polynomial], d: int):
+    """Each degree-d product of the expanded contractions, unexpanded, as
+    (exponents, block) in graded-lex order: the block is the product's
+    copy degrees, e times each factor's own copy degrees, summed."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if d % 2 or (d > 0 and not count):
-        return []
-    return _exponents_desc(count, d // 2) if count else [()]
+    blocks = [g.copy_degrees() for g in expansions]
+    for exps in _weighted_exponents([2] * len(expansions), d):
+        block = [0] * sig.num_copies
+        for b, e in zip(blocks, exps):
+            for c, x in enumerate(b):
+                block[c] += e * x
+        yield exps, tuple(block)
 
 
-def _generator_products(spec: GroupSpec, sig: SpaceSignature, d: int):
-    """The contraction generators and their degree-d products, expanded:
-    (generators, [(exponents over generators, Polynomial)]), the products
-    in graded-lex order."""
-    gens = tuple(generators_for(spec, sig))
-    expansions = [contraction(g, sig) for g in gens]
-    return gens, [
-        (tuple(exps), _power_product(sig, expansions, exps))
-        for exps in _quadratic_exponents(len(gens), d)
-    ]
-
-
-def _class_spans(spec: GroupSpec, sig: SpaceSignature, d: int, classes: dict) -> tuple:
-    """(representative, class size, rank) for each copy-permutation class:
-    the rank of the degree-d products whose copy degrees are the
-    representative's.
+def _class_spans(spec: GroupSpec, sig: SpaceSignature, d: int, sizes: dict) -> tuple:
+    """(representative, class size, rank) for each copy-permutation class
+    of `sizes`, {representative: class size}: the rank of the degree-d
+    products in the representative's block.
 
     A copy permutation sigma sends s(i,j) to s(sigma i, sigma j) and
     w(i,j) to +-w(sigma i, sigma j), and permutes the covectors and the
@@ -290,21 +302,13 @@ def _class_spans(spec: GroupSpec, sig: SpaceSignature, d: int, classes: dict) ->
     no monomial, so the span's dimension is the sum of class size times
     rank, and only the representatives' products are expanded.
     """
-    gens = generators_for(spec, sig)
-    # the two copies each contraction pairs, 0-based, covectors first
-    first = 0 if spec.family == "gl" else sig.k
-    copies = [(first + g.i - 1, sig.k + g.j - 1) for g in gens]
-    expansions = [contraction(g, sig) for g in gens]
-    echelons = {rep: Echelon() for rep in classes}
-    for exps in _quadratic_exponents(len(gens), d):
-        comp = [0] * sig.num_copies
-        for (a, b), e in zip(copies, exps):
-            comp[a] += e
-            comp[b] += e
-        echelon = echelons.get(tuple(comp))
+    expansions = [contraction(g, sig) for g in generators_for(spec, sig)]
+    echelons = {rep: Echelon() for rep in sizes}
+    for exps, block in _contraction_products(sig, expansions, d):
+        echelon = echelons.get(block)
         if echelon is not None:
             echelon.insert(_power_product(sig, expansions, exps).terms)
-    return tuple((rep, len(classes[rep]), echelons[rep].rank) for rep in classes)
+    return tuple((rep, size, echelons[rep].rank) for rep, size in sizes.items())
 
 
 def generator_products_basis(
@@ -316,12 +320,15 @@ def generator_products_basis(
     Relations among products (Gram determinants once copies outnumber
     the dimension) push dim_span strictly below the free count.
     """
-    gens, products = _generator_products(spec, sig, d)
-    echelon = Echelon()
-    independent = [idx for idx, (_, p) in enumerate(products) if echelon.insert(p.terms)]
-    return ProductSpan(
-        gens, tuple(products), tuple(independent), len(independent), len(products)
+    gens = tuple(generators_for(spec, sig))
+    expansions = [contraction(g, sig) for g in gens]
+    products = tuple(
+        (exps, _power_product(sig, expansions, exps))
+        for exps, _ in _contraction_products(sig, expansions, d)
     )
+    echelon = Echelon()
+    independent = tuple(idx for idx, (_, p) in enumerate(products) if echelon.insert(p.terms))
+    return ProductSpan(gens, products, independent, len(independent), len(products))
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +523,8 @@ def _cut_rows(ctx: ActionContext, elem: GroupElement):
             return w
 
         return row
-    scale = lcm(*(c.denominator for form in forms for _, c in form))
-    moves = [
-        (x, tuple((u, c.numerator * (scale // c.denominator)) for u, c in form))
-        for x, form in enumerate(forms)
-        if form
-    ]
+    scale, forms = integer_forms(forms)
+    moves = [(x, form) for x, form in enumerate(forms) if form]
     return lambda v: _derive(moves, scale, v)
 
 
@@ -556,6 +559,7 @@ class KernelResult:
     dim: int
     samples_used: int  # group elements imposed
     dim_history: tuple
+    by_class: tuple  # (representative, class size, kernel dimension at it) per class
 
 
 def invariant_subspace_basis(
@@ -630,6 +634,7 @@ def invariant_subspace_basis(
         dim=dim,
         samples_used=len(elems),
         dim_history=tuple(history),
+        by_class=tuple((rep, len(classes[rep]), len(b)) for rep, b in zip(reps, block_bases)),
     )
 
 
@@ -692,7 +697,7 @@ def fft_verify(
     check_dim_cap(sig, d, dim_cap)
     free = _product_count([2] * len(generators_for(spec, sig)), d, dim_cap)
     kr = invariant_subspace_basis(spec, sig, d, dim_cap=dim_cap)
-    by_class = _class_spans(spec, sig, d, _copy_classes(sig, d))
+    by_class = _class_spans(spec, sig, d, {rep: size for rep, size, _ in kr.by_class})
     dim_span = sum(size * rank for _, size, rank in by_class)
     return CertReport(
         group=spec,
@@ -747,7 +752,11 @@ def decompose_in_generators(
 
     Relations make representations non-unique; the returned one is
     canonical: products are eliminated in graded-lex order and every
-    redundant product gets coefficient zero.
+    redundant product gets coefficient zero.  Only the products in the
+    blocks of f's monomials are expanded: blocks share no monomial and
+    `Echelon` pivots on a row's largest monomial, so the other rows would
+    never meet these, and the choice and the coefficients are those of
+    one elimination over every product.
     """
     if f.sig != sig:
         raise ValueError("polynomial signature does not match")
@@ -759,18 +768,26 @@ def decompose_in_generators(
     gens = tuple(generators_for(spec, sig))
     if not f:
         return GeneratorCombination(gens, (), sig)
-    _product_count([2] * len(gens), f.degree(), dim_cap)
-    gens, products = _generator_products(spec, sig, f.degree())
+    d = f.degree()
+    _product_count([2] * len(gens), d, dim_cap)
+    expansions = [contraction(g, sig) for g in gens]
+    blocks = {sig.copy_degrees(m) for m in f.terms}
     echelon = Echelon()
-    for idx, (_, p) in enumerate(products):
-        echelon.insert(p.terms, idx)
+    products = []
+    for exps, block in _contraction_products(sig, expansions, d):
+        if block in blocks:
+            echelon.insert(_power_product(sig, expansions, exps).terms, len(products))
+            products.append(exps)
     # f + sum combo[i] * product_i = residual
     residual, combo = echelon.reduce(f.terms, {})
     if residual:
-        raise NotInSpan(Polynomial(sig, residual), echelon.rank)
+        # only a defect gets here: f is invariant and the FFT holds
+        sizes = {rep: len(relabels) for rep, relabels in _copy_classes(sig, d).items()}
+        dim_span = sum(size * rank for _, size, rank in _class_spans(spec, sig, d, sizes))
+        raise NotInSpan(Polynomial(sig, residual), dim_span)
     terms = tuple(
         sorted(
-            ((products[i][0], -c) for i, c in combo.items()),
+            ((products[i], -c) for i, c in combo.items()),
             key=lambda t: grlex_key(t[0]),
             reverse=True,
         )
@@ -788,17 +805,6 @@ class GeneratorDegreeReport:
     new_by_degree: dict
     bound: int
     seed: int
-
-
-def _weighted_exponents(weights: list[int], total: int):
-    if not weights:
-        if total == 0:
-            yield ()
-        return
-    w = weights[0]
-    for e in range(total // w, -1, -1):
-        for rest in _weighted_exponents(weights[1:], total - e * w):
-            yield (e,) + rest
 
 
 def minimal_generator_degrees(

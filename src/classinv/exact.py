@@ -147,16 +147,6 @@ class Matrix:
             [self.at(i, j) for j in range(self.cols) for i in range(self.rows)],
         )
 
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix-vector product, vec of length cols."""
-        if len(vec) != self.cols:
-            raise DimensionMismatch(f"vector length {len(vec)} != {self.cols}")
-        vec = [_as_fraction(v) for v in vec]
-        return tuple(
-            sum((self.at(i, j) * vec[j] for j in range(self.cols)), ZERO)
-            for i in range(self.rows)
-        )
-
     def inverse(self) -> "Matrix":
         """Exact inverse via Gauss-Jordan; SingularMatrixError reports the rank."""
         if self.rows != self.cols:

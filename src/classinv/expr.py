@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .certify import GeneratorCombination, GeneratorId, contraction
+from .certify import SHORTHAND, GeneratorCombination, GeneratorId, contraction
 from .poly import DEFAULT_DIM_CAP, Polynomial, SpaceSignature, VarKind, check_dim_cap
 
-_SHORTHAND_FAMILY = {"c": "gl", "s": "o", "w": "sp"}
+_SHORTHAND_FAMILY = {letter: family for family, letter in SHORTHAND.items()}
 _FAMILY_NAME = {"gl": "general linear", "o": "orthogonal", "sp": "symplectic"}
 
 

@@ -33,10 +33,6 @@ class SignatureMismatch(ValueError):
     pass
 
 
-class MissingAssignment(ValueError):
-    pass
-
-
 class DegreeCapExceeded(ValueError):
     def __init__(self, dim: int, cap: int):
         self.dim = dim
@@ -126,14 +122,6 @@ def _exponents_desc(nvars: int, total: int):
             yield (first,) + rest
 
 
-def monomial_basis(
-    sig: SpaceSignature, d: int, cap: int = DEFAULT_DIM_CAP
-) -> list[Monomial]:
-    """All degree-d monomials in graded-lex order (leading monomial first)."""
-    check_dim_cap(sig, d, cap)
-    return list(_exponents_desc(sig.num_vars, d))
-
-
 def grlex_key(mono: Monomial) -> tuple:
     """Sort key: graded first, lex inside a degree; use reverse=True for leading-first."""
     return (sum(mono), mono)
@@ -159,6 +147,15 @@ def linear_forms(sig: SpaceSignature, assign: Mapping[tuple[VarKind, int], Matri
     return forms
 
 
+def integer_forms(forms: list) -> tuple[int, list]:
+    """(D, the forms times D): D is the lcm of the denominators in the
+    linear forms, so each coefficient becomes an integer numerator."""
+    scale = lcm(*(c.denominator for form in forms for _, c in form))
+    return scale, [
+        tuple((u, c.numerator * (scale // c.denominator)) for u, c in form) for form in forms
+    ]
+
+
 def linear_images(sig: SpaceSignature, assign: Mapping[tuple[VarKind, int], Matrix]):
     """The substitution of ``Polynomial.substitute_linear`` on monomials,
     over the integers.
@@ -176,11 +173,7 @@ def linear_images(sig: SpaceSignature, assign: Mapping[tuple[VarKind, int], Matr
     one degree below are rarely shared and the largest).  Returned dicts
     may be shared and must not be mutated.
     """
-    forms = linear_forms(sig, assign)
-    scale = lcm(*(c.denominator for form in forms for _, c in form))
-    forms = [
-        tuple((u, c.numerator * (scale // c.denominator)) for u, c in form) for form in forms
-    ]
+    scale, forms = integer_forms(linear_forms(sig, assign))
     zero = (0,) * sig.num_vars
     memo = {zero: {zero: 1}}
 
@@ -345,34 +338,7 @@ class Polynomial:
             return seen.pop()
         return None
 
-    # -- evaluation and substitution ------------------------------------
-
-    def evaluate(self, values) -> Fraction:
-        """Exact value at a point.
-
-        ``values`` is either a sequence of length num_vars or a mapping
-        from variable index to value covering every variable that occurs.
-        """
-        sig = self.sig
-        if isinstance(values, Mapping):
-            lookup = values
-        else:
-            values = list(values)
-            if len(values) != sig.num_vars:
-                raise MissingAssignment(
-                    f"point has {len(values)} coordinates, need {sig.num_vars}"
-                )
-            lookup = dict(enumerate(values))
-        total = ZERO
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for idx, e in enumerate(mono):
-                if e:
-                    if idx not in lookup:
-                        raise MissingAssignment(f"no value for {sig.var_name(idx)}")
-                    term *= _as_fraction(lookup[idx]) ** e
-            total += term
-        return total
+    # -- substitution ----------------------------------------------------
 
     def substitute_linear(
         self, assign: Mapping[tuple[VarKind, int], Matrix]

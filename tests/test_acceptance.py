@@ -13,7 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
-from classinv.action import ActionContext, act, is_invariant, reynolds, transform_point
+from classinv.action import ActionContext, act, is_invariant, reynolds
 from classinv.certify import (
     fft_verify,
     invariant_subspace_basis,
@@ -34,6 +34,7 @@ from classinv.groups import (
 from classinv.poly import Polynomial, SpaceSignature, VarKind
 
 from oracle import det, invariant_dimension
+from points import evaluate, transform_point
 from test_poly import rand_poly
 
 VERDICTS: list[str] = []
@@ -150,8 +151,8 @@ def _check_action_family(spec, sig, draw_element, rng):
         assert act(ctx, a, mono).copy_degrees() == mono.copy_degrees()
         point = [Fraction(rng.randint(-3, 3)) for _ in range(sig.num_vars)]
         ainv = GroupElement(a.g_inv, a.g)
-        assert act(ctx, a, f).evaluate(point) == f.evaluate(
-            transform_point(ctx, ainv, point)
+        assert evaluate(act(ctx, a, f), point) == evaluate(
+            f, transform_point(ctx, ainv, point)
         )
 
 

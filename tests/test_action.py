@@ -12,7 +12,6 @@ from classinv.action import (
     is_invariant,
     reynolds,
     substitution,
-    transform_point,
 )
 from classinv.certify import contraction, generators_for
 from classinv.exact import ONE, Matrix
@@ -27,8 +26,9 @@ from classinv.groups import (
     small_integer_elements,
     symplectic,
 )
-from classinv.poly import Polynomial, SpaceSignature, VarKind, _exponents_desc, monomial_basis
+from classinv.poly import Polynomial, SpaceSignature, VarKind, _exponents_desc
 
+from points import evaluate, monomial_basis, transform_point
 from test_poly import rand_poly, rational_poly, substitute_by_forms
 
 
@@ -146,8 +146,8 @@ class TestGroupLaws:
             f = rand_poly(rng, ctx.sig)
             a = sample_element(ctx.spec, trial)
             p = [Fraction(rng.randint(-3, 3)) for _ in range(ctx.sig.num_vars)]
-            left = act(ctx, a, f).evaluate(p)
-            right = f.evaluate(transform_point(ctx, inverse_of(a), p))
+            left = evaluate(act(ctx, a, f), p)
+            right = evaluate(f, transform_point(ctx, inverse_of(a), p))
             assert left == right
 
     def test_linearity(self):

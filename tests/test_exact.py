@@ -11,6 +11,8 @@ from classinv.exact import (
     rref,
 )
 
+from points import apply
+
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
@@ -132,7 +134,7 @@ class TestNullspace:
                 ]
             )
             for vec in nullspace_basis(m):
-                out = m.apply(list(vec))
+                out = apply(m, list(vec))
                 assert all(v == 0 for v in out)
 
     def test_rank_nullity(self):

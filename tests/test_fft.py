@@ -35,11 +35,11 @@ from classinv.poly import (
     SpaceSignature,
     VarKind,
     _exponents_desc,
-    monomial_basis,
     space_dimension,
 )
 
 from oracle import invariant_dimension
+from points import monomial_basis
 
 
 def vvar(sig, copy, coord):

@@ -18,16 +18,16 @@ from classinv.groups import (
 )
 from classinv.poly import (
     DegreeCapExceeded,
-    MissingAssignment,
     Polynomial,
     SignatureMismatch,
     SpaceSignature,
     VarKind,
     grlex_key,
     linear_images,
-    monomial_basis,
     space_dimension,
 )
+
+from points import monomial_basis
 
 SIG2 = SpaceSignature(n=2, k=0, m=1)  # plain two variables x[1,1], x[1,2]
 
@@ -361,36 +361,6 @@ def rational_substitutions(draw):
 def test_substitution_matches_products_of_linear_forms(case):
     sig, assign, f = case
     assert f.substitute_linear(assign) == substitute_by_forms(sig, assign, f)
-
-
-class TestEvaluate:
-    def test_point(self):
-        x = xvar(SIG2, 1, 1)
-        y = xvar(SIG2, 1, 2)
-        f = x * x + y * y
-        assert f.evaluate([Fraction(3), Fraction(4)]) == 25
-
-    def test_constant(self):
-        f = Polynomial.constant(SIG2, Fraction(7, 3))
-        assert f.evaluate([Fraction(0), Fraction(0)]) == Fraction(7, 3)
-
-    def test_missing_assignment(self):
-        x = xvar(SIG2, 1, 1)
-        with pytest.raises(MissingAssignment):
-            x.evaluate({1: Fraction(1)})
-
-    def test_substitute_then_evaluate(self):
-        # f(A v) == (f after substituting A) at v
-        rng = random.Random(17)
-        for _ in range(15):
-            f = rand_poly(rng, SIG2)
-            a = Matrix.from_rows(
-                [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-            )
-            v = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
-            left = f.substitute_linear({(VarKind.VECTOR, 1): a}).evaluate(v)
-            right = f.evaluate(list(a.apply(v)))
-            assert left == right
 
 
 def test_repr_mentions_variables():

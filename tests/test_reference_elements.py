@@ -18,8 +18,9 @@ from classinv.certify import invariant_subspace_basis, minimal_generator_degrees
 from classinv.cli import read_matrix_file
 from classinv.exact import Matrix
 from classinv.groups import finite_group, general_linear, orthogonal, symplectic
-from classinv.poly import Polynomial, SpaceSignature, monomial_basis
+from classinv.poly import Polynomial, SpaceSignature
 
+from points import monomial_basis
 from reference_elements import reference_elements
 from test_action import SIGNED_3_CYCLE
 from test_fft import _half_swap
