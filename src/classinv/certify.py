@@ -91,7 +91,7 @@ from operator import add, itemgetter, neg, pos, xor
 
 from .action import ActionContext, act, derivation, is_invariant, substitution
 from .exact import Echelon, ONE, ZERO, add_scaled, ensure, rref
-from .groups import GroupElement, GroupSpec, small_integer_elements
+from .groups import GroupElement, GroupSpec, form_matrix, small_integer_elements
 from .poly import (
     DEFAULT_DIM_CAP,
     Monomial,
@@ -155,47 +155,34 @@ class GeneratorId:
 
 
 def contraction(gen: GeneratorId, sig: SpaceSignature) -> Polynomial:
-    """Expand a contraction into coordinates, as an exact polynomial.
+    """Expand a contraction into coordinates, as an exact polynomial:
+    the sum of F[a,b] * y_i[a] * x_j[b] over the family's form F, where y
+    is covector copy i for gl and vector copy i otherwise.
 
     The symmetric form accepts either index order (it is symmetric); the
     alternating form likewise, with w(j,i) = -w(i,j) and w(i,i) = 0.
     """
-    n = sig.n
-    terms: dict = {}
     if gen.family == "gl":
         if gen.i > sig.k:
             raise ValueError(f"covector copy {gen.i} out of range 1..{sig.k}")
         if gen.j > sig.m:
             raise ValueError(f"vector copy {gen.j} out of range 1..{sig.m}")
-        for a in range(1, n + 1):
+        left = VarKind.COVECTOR
+    else:
+        if gen.i > sig.m or gen.j > sig.m:
+            raise ValueError(f"vector copy out of range 1..{sig.m}")
+        if gen.family == "sp" and sig.n % 2:
+            raise ValueError("the alternating contraction needs even n")
+        left = VarKind.VECTOR
+    terms: dict = {}
+    for ab, value in enumerate(form_matrix(gen.family, sig.n).entries):
+        if value:
+            a, b = divmod(ab, sig.n)
             mono = [0] * sig.num_vars
-            mono[sig.var_index(VarKind.COVECTOR, gen.i, a)] += 1
-            mono[sig.var_index(VarKind.VECTOR, gen.j, a)] += 1
-            terms[tuple(mono)] = ONE
-        return Polynomial(sig, terms)
-    if gen.i > sig.m or gen.j > sig.m:
-        raise ValueError(f"vector copy out of range 1..{sig.m}")
-    if gen.family == "o":
-        for a in range(1, n + 1):
-            mono = [0] * sig.num_vars
-            mono[sig.var_index(VarKind.VECTOR, gen.i, a)] += 1
-            mono[sig.var_index(VarKind.VECTOR, gen.j, a)] += 1
+            mono[sig.var_index(left, gen.i, a + 1)] += 1
+            mono[sig.var_index(VarKind.VECTOR, gen.j, b + 1)] += 1
             key = tuple(mono)
-            terms[key] = terms.get(key, ZERO) + ONE
-        return Polynomial(sig, terms)
-    if n % 2:
-        raise ValueError("the alternating contraction needs even n")
-    for p in range(n // 2):
-        for a, b, sign in ((2 * p + 1, 2 * p + 2, ONE), (2 * p + 2, 2 * p + 1, -ONE)):
-            mono = [0] * sig.num_vars
-            mono[sig.var_index(VarKind.VECTOR, gen.i, a)] += 1
-            mono[sig.var_index(VarKind.VECTOR, gen.j, b)] += 1
-            key = tuple(mono)
-            val = terms.get(key, ZERO) + sign
-            if val:
-                terms[key] = val
-            else:
-                terms.pop(key, None)
+            terms[key] = terms[key] + value if key in terms else value
     return Polynomial(sig, terms)
 
 
@@ -745,10 +732,14 @@ def decompose_in_generators(
 ) -> GeneratorCombination:
     """Write a homogeneous invariant as a polynomial in the contractions.
 
-    Invariance is decided first, exactly, by `action.is_invariant`; a
-    polynomial moved by a group element raises NotInvariant.  More than
-    dim_cap products of f's degree raise ProductCapExceeded before any
-    is expanded.
+    The elimination is the proof of invariance: a zero residual writes f
+    as a combination of contractions, each exactly invariant.  Only a
+    nonzero residual calls `action.is_invariant`, to tell a polynomial
+    moved by a group element (NotInvariant) from a defect (NotInSpan).
+    So the refusals come in this order: a finite group (from
+    `generators_for`), more than dim_cap products of f's degree
+    (ProductCapExceeded, before any is expanded, even for a moved f),
+    then NotInvariant.
 
     Relations make representations non-unique; the returned one is
     canonical: products are eliminated in graded-lex order and every
@@ -762,9 +753,6 @@ def decompose_in_generators(
         raise ValueError("polynomial signature does not match")
     if not f.is_homogeneous():
         raise ValueError("decomposition needs a homogeneous polynomial")
-    ctx = ActionContext(spec, sig)
-    if not is_invariant(ctx, f):
-        raise NotInvariant("polynomial is moved by a group element")
     gens = tuple(generators_for(spec, sig))
     if not f:
         return GeneratorCombination(gens, (), sig)
@@ -781,6 +769,8 @@ def decompose_in_generators(
     # f + sum combo[i] * product_i = residual
     residual, combo = echelon.reduce(f.terms, {})
     if residual:
+        if not is_invariant(ActionContext(spec, sig), f):
+            raise NotInvariant("polynomial is moved by a group element")
         # only a defect gets here: f is invariant and the FFT holds
         sizes = {rep: len(relabels) for rep, relabels in _copy_classes(sig, d).items()}
         dim_span = sum(size * rank for _, size, rank in _class_spans(spec, sig, d, sizes))

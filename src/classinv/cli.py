@@ -1,9 +1,12 @@
 """Command-line front door.
 
 Subcommands: check, basis, generators, fft-verify, decompose, gendeg,
-reynolds.  Exit code 0 means success (or a certificate), 2 means an
-inconclusive outcome (an uncertified verification or a refuted
-invariance check), 1 means an error.
+reynolds.  A subcommand is one row of COMMANDS plus its handler: every
+subcommand takes the same session flags, and `main` builds the session,
+puts it in front of the handler's report and prints it.  Exit code 0
+means success (or a certificate), 2 means an inconclusive outcome (an
+uncertified verification or a refuted invariance check), 1 means an
+error.
 
 Every answer is exact: kernels, bases, certificates, generator degrees
 and the invariance decisions of check and decompose all use the same
@@ -50,68 +53,6 @@ MAX_SEED = 2**64
 
 class CliError(ValueError):
     pass
-
-
-def _add_session_flags(sp, *, finite_ok: bool = True):
-    sp.add_argument("--group", required=True,
-                    choices=["gl", "o", "sp", "finite"] if finite_ok else ["gl", "o", "sp"])
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--covectors", type=int, default=0)
-    sp.add_argument("--vectors", type=int, default=0)
-    sp.add_argument("--group-file", default=None)
-    sp.add_argument("--max-order", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
-    sp.add_argument("--format", choices=["text", "json"], default="text")
-    sp.add_argument("--timing", action="store_true")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="classinv",
-        description="Exact construction and certification of the basic "
-        "invariants of the classical groups.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("check", help="test an expression for invariance")
-    _add_session_flags(sp)
-    sp.add_argument("--expr", required=True)
-    sp.set_defaults(handler=cmd_check)
-
-    sp = sub.add_parser("basis", help="basis of the invariants of one degree")
-    _add_session_flags(sp)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.set_defaults(handler=cmd_basis)
-
-    sp = sub.add_parser("generators", help="list the contraction generators")
-    _add_session_flags(sp, finite_ok=False)
-    sp.set_defaults(handler=cmd_generators)
-
-    sp = sub.add_parser(
-        "fft-verify",
-        help="certify that contraction products span the invariants of one degree",
-    )
-    _add_session_flags(sp, finite_ok=False)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.set_defaults(handler=cmd_fft_verify)
-
-    sp = sub.add_parser("decompose", help="write an invariant in the generators")
-    _add_session_flags(sp, finite_ok=False)
-    sp.add_argument("--expr", required=True)
-    sp.set_defaults(handler=cmd_decompose)
-
-    sp = sub.add_parser("gendeg", help="minimal generator degrees up to a bound")
-    _add_session_flags(sp)
-    sp.add_argument("--degree-bound", type=int, required=True)
-    sp.set_defaults(handler=cmd_gendeg)
-
-    sp = sub.add_parser("reynolds", help="project onto invariants of a finite group")
-    _add_session_flags(sp)
-    sp.add_argument("--expr", required=True)
-    sp.set_defaults(handler=cmd_reynolds)
-
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +156,13 @@ def combination_json(comb) -> list:
     ]
 
 
-def _prefix(spec: GroupSpec, sig: SpaceSignature) -> dict:
-    return {
-        "group": spec.family,
-        "n": sig.n,
-        "covectors": sig.k,
-        "vectors": sig.m,
-    }
-
-
-def emit(out: dict, args, text_overrides: dict | None = None) -> None:
-    if args.timing:
-        out["elapsed_ms"] = int((time.monotonic() - args.started) * 1000)
-    if args.format == "json":
+def emit(out: dict, as_json: bool, text_overrides: dict) -> None:
+    if as_json:
         print(json.dumps(out, indent=2))
         return
-    text_overrides = text_overrides or {}
     width = max(len(k) for k in out)
     for key, value in out.items():
-        if key in text_overrides:
-            value = text_overrides[key]
+        value = text_overrides.get(key, value)
         if isinstance(value, bool):
             value = "true" if value else "false"
         if isinstance(value, list) and value and isinstance(value[0], str):
@@ -250,29 +178,25 @@ def emit(out: dict, args, text_overrides: dict | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# handlers: each returns (report, text overrides, exit code); main puts the
+# session in front of the report and prints it
 
 
-def cmd_check(args) -> int:
-    spec, sig = make_session(args)
+def cmd_check(args, spec, sig):
     f = parse_expression(args.expr, sig, spec.family, dim_cap=args.dim_cap)
     invariant = is_invariant(ActionContext(spec, sig), f)
     out = {
-        **_prefix(spec, sig),
         "expression": format_polynomial(f),
         "invariant": invariant,
         "samples_used": len(small_integer_elements(spec)),
         "seed": args.seed,
     }
-    emit(out, args)
-    return EXIT_OK if invariant else EXIT_INCONCLUSIVE
+    return out, {}, EXIT_OK if invariant else EXIT_INCONCLUSIVE
 
 
-def cmd_basis(args) -> int:
-    spec, sig = make_session(args)
+def cmd_basis(args, spec, sig):
     kr = invariant_subspace_basis(spec, sig, args.degree, dim_cap=args.dim_cap)
     out = {
-        **_prefix(spec, sig),
         "degree": args.degree,
         "dim_space": space_dimension(sig, args.degree),
         "dim_kernel": kr.dim,
@@ -280,39 +204,21 @@ def cmd_basis(args) -> int:
         "samples_used": kr.samples_used,
         "seed": args.seed,
     }
-    emit(out, args, {"basis": [format_polynomial(p) for p in kr.basis]})
-    return EXIT_OK
+    return out, {"basis": [format_polynomial(p) for p in kr.basis]}, EXIT_OK
 
 
-def cmd_generators(args) -> int:
-    spec, sig = make_session(args)
-    gens = generators_for(spec, sig)
+def cmd_generators(args, spec, sig):
+    gens = [(g.symbol(), contraction(g, sig)) for g in generators_for(spec, sig)]
     out = {
-        **_prefix(spec, sig),
         "count": len(gens),
-        "generators": [
-            {"id": g.symbol(), "polynomial": poly_json(contraction(g, sig))}
-            for g in gens
-        ],
+        "generators": [{"id": sym, "polynomial": poly_json(p)} for sym, p in gens],
     }
-    emit(
-        out,
-        args,
-        {
-            "generators": [
-                f"{g.symbol()} = {format_polynomial(contraction(g, sig))}"
-                for g in gens
-            ]
-        },
-    )
-    return EXIT_OK
+    return out, {"generators": [f"{sym} = {format_polynomial(p)}" for sym, p in gens]}, EXIT_OK
 
 
-def cmd_fft_verify(args) -> int:
-    spec, sig = make_session(args)
+def cmd_fft_verify(args, spec, sig):
     rep = fft_verify(spec, sig, args.degree, args.seed, dim_cap=args.dim_cap)
     out = {
-        **_prefix(spec, sig),
         "degree": rep.degree,
         "dim_space": rep.dim_space,
         "dim_kernel": rep.dim_kernel,
@@ -322,69 +228,115 @@ def cmd_fft_verify(args) -> int:
         "seed": rep.seed,
         "free_products": rep.free_products,
     }
-    emit(out, args)
-    return EXIT_OK if rep.certified else EXIT_INCONCLUSIVE
+    return out, {}, EXIT_OK if rep.certified else EXIT_INCONCLUSIVE
 
 
-def cmd_decompose(args) -> int:
-    spec, sig = make_session(args)
+def cmd_decompose(args, spec, sig):
     f = parse_expression(args.expr, sig, spec.family, dim_cap=args.dim_cap)
     comb = decompose_in_generators(spec, sig, f, dim_cap=args.dim_cap)
     out = {
-        **_prefix(spec, sig),
         "degree": 0 if f.degree() is None else f.degree(),
         "decomposition": combination_json(comb),
         "seed": args.seed,
     }
-    emit(out, args, {"decomposition": [format_generator_combination(comb)]})
-    return EXIT_OK
+    return out, {"decomposition": [format_generator_combination(comb)]}, EXIT_OK
 
 
-def cmd_gendeg(args) -> int:
-    spec, sig = make_session(args)
+def cmd_gendeg(args, spec, sig):
     rep = minimal_generator_degrees(
         spec, sig, args.degree_bound, args.seed, dim_cap=args.dim_cap
     )
     out = {
-        **_prefix(spec, sig),
         "degree_bound": rep.bound,
         "degrees": list(rep.degrees),
         "new_by_degree": {str(d): c for d, c in sorted(rep.new_by_degree.items())},
         "seed": rep.seed,
     }
-    emit(out, args)
-    return EXIT_OK
+    return out, {}, EXIT_OK
 
 
-def cmd_reynolds(args) -> int:
-    spec, sig = make_session(args)
+def cmd_reynolds(args, spec, sig):
     if spec.family != "finite":
         raise CliError("the projection onto invariants needs a finite group")
     f = parse_expression(args.expr, sig, spec.family, dim_cap=args.dim_cap)
-    ctx = ActionContext(spec, sig)
-    result = reynolds(ctx, f)
-    out = {
-        **_prefix(spec, sig),
-        "order": len(group_elements(spec)),
-        "result": poly_json(result),
-    }
-    emit(out, args, {"result": [format_polynomial(result)]})
-    return EXIT_OK
+    result = reynolds(ActionContext(spec, sig), f)
+    out = {"order": len(group_elements(spec)), "result": poly_json(result)}
+    return out, {"result": [format_polynomial(result)]}, EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# the subcommand table
+
+CLASSICAL = ["gl", "o", "sp"]
+ANY_GROUP = [*CLASSICAL, "finite"]
+
+# name: (help, handler, --group choices, own argument and its type)
+COMMANDS = {
+    "check": ("test an expression for invariance", cmd_check, ANY_GROUP, ("--expr", str)),
+    "basis": ("basis of the invariants of one degree", cmd_basis, ANY_GROUP, ("--degree", int)),
+    "generators": ("list the contraction generators", cmd_generators, CLASSICAL, None),
+    "fft-verify": ("certify that contraction products span the invariants of one degree",
+                   cmd_fft_verify, CLASSICAL, ("--degree", int)),
+    "decompose": ("write an invariant in the generators",
+                  cmd_decompose, CLASSICAL, ("--expr", str)),
+    "gendeg": ("minimal generator degrees up to a bound",
+               cmd_gendeg, ANY_GROUP, ("--degree-bound", int)),
+    "reynolds": ("project onto invariants of a finite group",
+                 cmd_reynolds, ANY_GROUP, ("--expr", str)),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="classinv",
+        description="Exact construction and certification of the basic "
+        "invariants of the classical groups.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, groups, own) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--group", required=True, choices=groups)
+        sp.add_argument("--n", type=int, default=None)
+        sp.add_argument("--covectors", type=int, default=0)
+        sp.add_argument("--vectors", type=int, default=0)
+        sp.add_argument("--group-file", default=None)
+        sp.add_argument("--max-order", type=int, default=10_000)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
+        sp.add_argument("--format", choices=["text", "json"], default="text")
+        sp.add_argument("--timing", action="store_true")
+        if own:
+            sp.add_argument(own[0], type=own[1], required=True)
+        sp.set_defaults(handler=handler)
+    return parser
 
 
 def main(argv=None) -> int:
     started = time.monotonic()
+    # argparse takes a lone token that starts with '-' for a flag, so an
+    # expression such as -5/7*s(1,1) is joined to its flag
+    tokens = []
+    for tok in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] == "--expr":
+            tokens[-1] = f"--expr={tok}"
+        else:
+            tokens.append(tok)
     try:
         # the parser (~100 KB of cycles) must die young: held through the
         # command it ages into the oldest GC generation and piles up in-process
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(tokens)
     except SystemExit as e:
         # argparse exits 2 on usage errors; that code is reserved for
         # inconclusive outcomes here, so fold usage problems into 1
         return EXIT_OK if e.code == 0 else EXIT_ERROR
-    args.started = started
     try:
-        return args.handler(args)
+        spec, sig = make_session(args)
+        out, text_overrides, code = args.handler(args, spec, sig)
+        out = {"group": spec.family, "n": sig.n, "covectors": sig.k, "vectors": sig.m, **out}
+        if args.timing:
+            out["elapsed_ms"] = int((time.monotonic() - started) * 1000)
+        emit(out, args.format == "json", text_overrides)
+        return code
     except (ValueError, ClosureCapExceeded, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -104,13 +104,11 @@ def symplectic_form_matrix(n: int) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def is_orthogonal(g: Matrix) -> bool:
-    return g.transpose() @ g == Matrix.identity(g.rows)
-
-
-def is_symplectic(g: Matrix) -> bool:
-    J = symplectic_form_matrix(g.rows)
-    return g.transpose() @ J @ g == J
+@lru_cache(maxsize=None)
+def form_matrix(family: str, n: int) -> Matrix:
+    """The form the family preserves: the identity for gl (the pairing of
+    covectors with vectors) and o, the alternating form for sp."""
+    return symplectic_form_matrix(n) if family == "sp" else Matrix.identity(n)
 
 
 def contains(spec: GroupSpec, g: Matrix) -> bool:
@@ -119,19 +117,16 @@ def contains(spec: GroupSpec, g: Matrix) -> bool:
         return False
     if spec.family == "gl":
         return g.is_invertible()
-    if spec.family == "o":
-        return is_orthogonal(g)
-    if spec.family == "sp":
-        return is_symplectic(g)
+    if spec.family in ("o", "sp"):
+        F = form_matrix(spec.family, spec.n)
+        return g.transpose() @ F @ g == F
     return g in group_elements_matrices(spec)
 
 
 def _element(spec: GroupSpec, g: Matrix) -> GroupElement:
-    if spec.family == "o":
-        inv = g.transpose()
-    elif spec.family == "sp":
-        J = symplectic_form_matrix(spec.n)
-        inv = (-J) @ g.transpose() @ J  # J^-1 = -J since J^2 = -I
+    if spec.family in ("o", "sp"):
+        F = form_matrix(spec.family, spec.n)
+        inv = F.transpose() @ g.transpose() @ F  # g^T F g = F and F^-1 = F^T
     else:
         inv = g.inverse()
     return GroupElement(g, inv)

@@ -325,6 +325,16 @@ class TestDecompose:
             {"monomial": [["s(1,1)", 2]], "coeff": "1"}
         ]
 
+    @pytest.mark.parametrize("command", ["decompose", "check"])
+    def test_expr_may_start_with_minus(self, capsys, command):
+        # argparse alone reads a lone '-5/7*...' token as a flag
+        session = (command, "--group", "o", "--n", "1", "--vectors", "1")
+        split = run(capsys, *session, "--expr", "-5/7*s(1,1)")
+        joined = run(capsys, *session, "--expr=-5/7*s(1,1)")
+        assert split[:2] == joined[:2]
+        assert split[0] == 0
+        assert "-5/7" in split[1]
+
     def test_not_invariant_error(self, capsys):
         code, _, err = run(
             capsys,

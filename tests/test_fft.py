@@ -591,6 +591,28 @@ class TestDecompose:
         with pytest.raises(NotInvariant):
             decompose_in_generators(orthogonal(2), sig, x * x)
 
+    def test_elimination_proves_invariance(self, monkeypatch):
+        # a zero residual writes f in the contractions, which is the proof;
+        # only a nonzero residual asks is_invariant whether f is moved
+        calls = []
+
+        def recording(ctx, f):
+            calls.append(f)
+            return is_invariant(ctx, f)
+
+        monkeypatch.setattr(certify, "is_invariant", recording)
+        sig = SpaceSignature(n=2, k=0, m=2)
+        s11 = contraction(GeneratorId("o", 1, 1), sig)
+        s12 = contraction(GeneratorId("o", 1, 2), sig)
+        f = s11 * s11 - Fraction(5, 7) * s12 * s12
+        assert decompose_in_generators(orthogonal(2), sig, f).expand() == f
+        assert calls == []
+        x = vvar(sig, 1, 1)
+        moved = x * x * x * x + f
+        with pytest.raises(NotInvariant):
+            decompose_in_generators(orthogonal(2), sig, moved)
+        assert calls == [moved]
+
     def test_outside_the_span_reports_the_span_dimension(self, monkeypatch):
         # an invariant outside the span would refute the theorem, so the
         # invariance check is switched off to reach the span test behind it

@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -34,9 +35,16 @@ GOLDEN = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
 
 
 def run_case(case) -> tuple[int, str]:
-    """(exit code, stdout) of one case, run from the repository root."""
+    """(exit code, stdout) of one case, run from the repository root.
+
+    argparse wraps ``--help`` to the terminal width, so the width is
+    pinned at 80 columns for the call."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with (
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
         code = main(list(case["argv"]))
     return code, out.getvalue()
 

@@ -12,10 +12,9 @@ from classinv.groups import (
     contains,
     finite_closure,
     finite_group,
+    form_matrix,
     general_linear,
     group_elements,
-    is_orthogonal,
-    is_symplectic,
     orthogonal,
     sample_element,
     small_integer_elements,
@@ -49,6 +48,11 @@ class TestFormMatrix:
         with pytest.raises(ValueError):
             symplectic_form_matrix(3)
 
+    def test_family_forms(self):
+        assert form_matrix("gl", 3) == Matrix.identity(3)
+        assert form_matrix("o", 3) == Matrix.identity(3)
+        assert form_matrix("sp", 4) == symplectic_form_matrix(4)
+
     def test_square_to_minus_identity(self):
         for n in (2, 4, 6):
             j = symplectic_form_matrix(n)
@@ -59,18 +63,17 @@ class TestFormMatrix:
 class TestMembership:
     def test_rotation_is_orthogonal(self):
         rot = mat([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]])
-        assert is_orthogonal(rot)
         assert contains(orthogonal(2), rot)
 
     def test_stretch_is_not_orthogonal(self):
-        assert not is_orthogonal(mat([[2, 0], [0, 1]]))
+        assert not contains(orthogonal(2), mat([[2, 0], [0, 1]]))
 
     def test_shear_is_symplectic(self):
         # SL(2) = Sp(2), so a unit shear qualifies
-        assert is_symplectic(mat([[1, 1], [0, 1]]))
+        assert contains(symplectic(2), mat([[1, 1], [0, 1]]))
 
     def test_det_two_not_symplectic(self):
-        assert not is_symplectic(mat([[2, 0], [0, 1]]))
+        assert not contains(symplectic(2), mat([[2, 0], [0, 1]]))
 
     def test_gl_membership_is_invertibility(self):
         assert contains(general_linear(2), mat([[1, 1], [0, 1]]))
@@ -107,7 +110,7 @@ class TestCayley:
 
     def test_skew_input_lands_in_o(self):
         s = mat([[0, 2], [-2, 0]])
-        assert is_orthogonal(cayley(s))
+        assert contains(orthogonal(2), cayley(s))
 
     def test_singular_shift_raises(self):
         with pytest.raises(SingularMatrixError):
