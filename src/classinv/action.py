@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ONE, ZERO, Matrix
+from .exact import ONE, ZERO, Matrix, add_scaled
 from .groups import (
     GroupElement,
     GroupSpec,
@@ -102,7 +102,8 @@ def reynolds(ctx: ActionContext, f: Polynomial) -> Polynomial:
     if ctx.spec.family != "finite":
         raise NotFiniteGroup("averaging needs a finite group")
     elems = group_elements(ctx.spec)
-    total = Polynomial.zero(ctx.sig)
+    weight = Fraction(1, len(elems))
+    total: dict = {}
     for e in elems:
-        total = total + act(ctx, e, f)
-    return total.scale(Fraction(1, len(elems)))
+        add_scaled(total, weight, act(ctx, e, f).terms)
+    return Polynomial(ctx.sig, total)

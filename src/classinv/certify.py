@@ -214,9 +214,9 @@ def generators_for(spec: GroupSpec, sig: SpaceSignature) -> list[GeneratorId]:
 # generator products
 
 
-def _power_product(sig: SpaceSignature, factors, exps, coeff=1) -> Polynomial:
-    """coeff * prod factors[i]^exps[i], multiplied out one factor at a time."""
-    p = Polynomial.constant(sig, coeff)
+def _power_product(sig: SpaceSignature, factors, exps) -> Polynomial:
+    """prod factors[i]^exps[i], multiplied out one factor at a time."""
+    p = Polynomial.constant(sig, 1)
     for g, e in zip(factors, exps):
         for _ in range(e):
             p = p * g
@@ -716,11 +716,11 @@ class GeneratorCombination:
     sig: SpaceSignature
 
     def expand(self) -> Polynomial:
-        total = Polynomial.zero(self.sig)
         expansions = [contraction(g, self.sig) for g in self.generators]
+        total: dict = {}
         for exps, coeff in self.terms:
-            total = total + _power_product(self.sig, expansions, exps, coeff)
-        return total
+            add_scaled(total, coeff, _power_product(self.sig, expansions, exps).terms)
+        return Polynomial(self.sig, total)
 
 
 def decompose_in_generators(

@@ -34,7 +34,13 @@ from .certify import (
     minimal_generator_degrees,
 )
 from .exact import Matrix
-from .expr import format_generator_combination, format_polynomial, parse_expression
+from .expr import (
+    combination_terms,
+    format_generator_combination,
+    format_polynomial,
+    parse_expression,
+    polynomial_terms,
+)
 from .groups import (
     ClosureCapExceeded,
     GroupSpec,
@@ -42,7 +48,7 @@ from .groups import (
     group_elements,
     small_integer_elements,
 )
-from .poly import DEFAULT_DIM_CAP, Polynomial, SpaceSignature, space_dimension
+from .poly import DEFAULT_DIM_CAP, SpaceSignature, space_dimension
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -134,25 +140,12 @@ def make_session(args) -> tuple[GroupSpec, SpaceSignature]:
 # report rendering
 
 
-def poly_json(f: Polynomial) -> list:
+def terms_json(items) -> list:
+    """A term list of `expr.polynomial_terms` or `expr.combination_terms`
+    as JSON objects."""
     return [
-        {
-            "monomial": [[f.sig.var_name(v), e] for v, e in enumerate(mono) if e],
-            "coeff": str(coeff),
-        }
-        for mono, coeff in f.terms_sorted()
-    ]
-
-
-def combination_json(comb) -> list:
-    return [
-        {
-            "monomial": [
-                [comb.generators[i].symbol(), e] for i, e in enumerate(exps) if e
-            ],
-            "coeff": str(coeff),
-        }
-        for exps, coeff in comb.terms
+        {"monomial": [[name, e] for name, e in powers], "coeff": str(coeff)}
+        for powers, coeff in items
     ]
 
 
@@ -200,7 +193,7 @@ def cmd_basis(args, spec, sig):
         "degree": args.degree,
         "dim_space": space_dimension(sig, args.degree),
         "dim_kernel": kr.dim,
-        "basis": [poly_json(p) for p in kr.basis],
+        "basis": [terms_json(polynomial_terms(p)) for p in kr.basis],
         "samples_used": kr.samples_used,
         "seed": args.seed,
     }
@@ -211,7 +204,9 @@ def cmd_generators(args, spec, sig):
     gens = [(g.symbol(), contraction(g, sig)) for g in generators_for(spec, sig)]
     out = {
         "count": len(gens),
-        "generators": [{"id": sym, "polynomial": poly_json(p)} for sym, p in gens],
+        "generators": [
+            {"id": sym, "polynomial": terms_json(polynomial_terms(p))} for sym, p in gens
+        ],
     }
     return out, {"generators": [f"{sym} = {format_polynomial(p)}" for sym, p in gens]}, EXIT_OK
 
@@ -236,7 +231,7 @@ def cmd_decompose(args, spec, sig):
     comb = decompose_in_generators(spec, sig, f, dim_cap=args.dim_cap)
     out = {
         "degree": 0 if f.degree() is None else f.degree(),
-        "decomposition": combination_json(comb),
+        "decomposition": terms_json(combination_terms(comb)),
         "seed": args.seed,
     }
     return out, {"decomposition": [format_generator_combination(comb)]}, EXIT_OK
@@ -260,7 +255,7 @@ def cmd_reynolds(args, spec, sig):
         raise CliError("the projection onto invariants needs a finite group")
     f = parse_expression(args.expr, sig, spec.family, dim_cap=args.dim_cap)
     result = reynolds(ActionContext(spec, sig), f)
-    out = {"order": len(group_elements(spec)), "result": poly_json(result)}
+    out = {"order": len(group_elements(spec)), "result": terms_json(polynomial_terms(result))}
     return out, {"result": [format_polynomial(result)]}, EXIT_OK
 
 
@@ -286,7 +281,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand with its help line, but only `command`'s with its
+    arguments: argparse reads no other subparser's."""
     parser = argparse.ArgumentParser(
         prog="classinv",
         description="Exact construction and certification of the basic "
@@ -295,6 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, groups, own) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue
         sp.add_argument("--group", required=True, choices=groups)
         sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--covectors", type=int, default=0)
@@ -324,7 +323,7 @@ def main(argv=None) -> int:
     try:
         # the parser (~100 KB of cycles) must die young: held through the
         # command it ages into the oldest GC generation and piles up in-process
-        args = build_parser().parse_args(tokens)
+        args = build_parser(tokens[0] if tokens else None).parse_args(tokens)
     except SystemExit as e:
         # argparse exits 2 on usage errors; that code is reserved for
         # inconclusive outcomes here, so fold usage problems into 1

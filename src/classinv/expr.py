@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .certify import SHORTHAND, GeneratorCombination, GeneratorId, contraction
+from .exact import ONE, add_scaled
 from .poly import DEFAULT_DIM_CAP, Polynomial, SpaceSignature, VarKind, check_dim_cap
 
 _SHORTHAND_FAMILY = {letter: family for family, letter in SHORTHAND.items()}
@@ -100,18 +101,14 @@ class _Parser:
         return poly
 
     def expr(self) -> Polynomial:
-        negate = False
-        if self._peek()[0] == "-":
-            self._take()
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while self._peek()[0] in ("+", "-"):
+        # every term is added into one term map, so a long sum is linear
+        total: dict = {}
+        op = self._take()[0] if self._peek()[0] == "-" else "+"
+        while True:
+            add_scaled(total, ONE if op == "+" else -ONE, self.term().terms)
+            if self._peek()[0] not in ("+", "-"):
+                return Polynomial(self.sig, total)
             op = self._take()[0]
-            nxt = self.term()
-            acc = acc + nxt if op == "+" else acc - nxt
-        return acc
 
     def term(self) -> Polynomial:
         acc = self.base_factor()
@@ -220,8 +217,26 @@ def parse_expression(
     return _Parser(text, sig, family, dim_cap).parse()
 
 
+def polynomial_terms(f: Polynomial) -> list:
+    """f's terms in graded-lex order, leading first, each as
+    ([(variable name, exponent), ...], coefficient)."""
+    return [
+        ([(f.sig.var_name(v), e) for v, e in enumerate(mono) if e], coeff)
+        for mono, coeff in f.terms_sorted()
+    ]
+
+
+def combination_terms(comb: GeneratorCombination) -> list:
+    """The same term list over contraction symbols, in the combination's order."""
+    return [
+        ([(comb.generators[i].symbol(), e) for i, e in enumerate(exps) if e], coeff)
+        for exps, coeff in comb.terms
+    ]
+
+
 def _format_terms(items) -> str:
-    # items: (variable-power list as [(name, exp), ...], coefficient)
+    if not items:
+        return "0"
     parts = []
     for idx, (powers, coeff) in enumerate(items):
         negative = coeff < 0
@@ -241,27 +256,10 @@ def _format_terms(items) -> str:
 
 def format_polynomial(f: Polynomial) -> str:
     """Graded-lex term order, '^' powers, explicit '*'; reparses exactly."""
-    items = f.terms_sorted()
-    if not items:
-        return "0"
-    rendered = []
-    for mono, coeff in items:
-        powers = [
-            (f.sig.var_name(v), e) for v, e in enumerate(mono) if e
-        ]
-        rendered.append((powers, coeff))
-    return _format_terms(rendered)
+    return _format_terms(polynomial_terms(f))
 
 
 def format_generator_combination(comb: GeneratorCombination) -> str:
     """The same surface syntax, over contraction symbols instead of
     coordinates; reparses under the owning session."""
-    if not comb.terms:
-        return "0"
-    rendered = []
-    for exps, coeff in comb.terms:
-        powers = [
-            (comb.generators[i].symbol(), e) for i, e in enumerate(exps) if e
-        ]
-        rendered.append((powers, coeff))
-    return _format_terms(rendered)
+    return _format_terms(combination_terms(comb))

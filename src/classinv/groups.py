@@ -209,7 +209,10 @@ def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> list[Matrix]:
 
     The generators must be invertible; a closed finite set of invertible
     matrices containing the identity contains every inverse, so this is
-    the generated group.  Raises ClosureCapExceeded past the cap.
+    the generated group.  Raises ClosureCapExceeded past the cap, and
+    NotFiniteGroup at the first element whose trace is not an integer in
+    [-n, n]: an element of finite order has n roots of unity as
+    eigenvalues, so a rational trace of one is such an integer.
     """
     gens = list(generators)
     if not gens:
@@ -230,6 +233,10 @@ def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> list[Matrix]:
             for g in gens:
                 p = h @ g
                 if p not in seen:
+                    trace = sum(p.entries[:: n + 1])
+                    if trace.denominator != 1 or abs(trace) > n:
+                        # the trace itself may be too long to print
+                        raise NotFiniteGroup("the generators generate an element of infinite order")
                     if len(seen) >= cap:
                         raise ClosureCapExceeded(cap)
                     seen.add(p)

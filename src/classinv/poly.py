@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Mapping
 
-from .exact import Matrix, ZERO, ONE, _as_fraction
+from .exact import Matrix, ZERO, ONE, _as_fraction, add_scaled
 
 Monomial = tuple  # dense exponent tuple, length = signature.num_vars
 
@@ -251,27 +251,17 @@ class Polynomial:
         if self.sig != other.sig:
             raise SignatureMismatch(f"{self.sig} vs {other.sig}")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _plus(self, c, other: "Polynomial") -> "Polynomial":
         self._need_same_sig(other)
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, ZERO) + coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+        add_scaled(out, c, other.terms)
         return Polynomial(self.sig, out)
 
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._plus(ONE, other)
+
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._need_same_sig(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, ZERO) - coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        return Polynomial(self.sig, out)
+        return self._plus(-ONE, other)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.sig, {m: -c for m, c in self.terms.items()})

@@ -1,9 +1,12 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from classinv.cli import main
+from classinv.expr import parse_expression
+from classinv.poly import SpaceSignature
 
 
 def run(capsys, *argv):
@@ -445,6 +448,22 @@ class TestFiniteGroups:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("text", ["2\n", "1e300 0\n0 1\n"], ids=["2", "diag(10^300,1)"])
+    def test_infinite_order_refused_at_once(self, capsys, tmp_path, text):
+        # the first element's trace is not an integer in [-n, n], so the
+        # closure stops there instead of walking to --max-order
+        path = tmp_path / "diag.txt"
+        path.write_text(text)
+        started = time.monotonic()
+        code, _, err = run(
+            capsys,
+            "check", "--group", "finite", "--group-file", str(path),
+            "--vectors", "1", "--expr", "x[1,1]",
+        )
+        assert time.monotonic() - started < 1
+        assert code == 1
+        assert "infinite order" in err
+
     # kernels and check impose only the generators, so the closure that
     # proves the group finite must still run before any of them
     @pytest.mark.parametrize(
@@ -528,6 +547,85 @@ class TestFiniteGroups:
         )
         assert code == 1
         assert "contradicts" in err
+
+
+B3 = str(Path(__file__).resolve().parents[1] / "perfbench" / "groups" / "b3.txt")
+SESSIONS = {
+    "gl": ("gl", ["--group", "gl", "--n", "2", "--covectors", "2", "--vectors", "1"]),
+    "o": ("o", ["--group", "o", "--n", "2", "--vectors", "3"]),
+    "sp": ("sp", ["--group", "sp", "--n", "4", "--vectors", "3"]),
+    "b3": ("finite", ["--group", "finite", "--group-file", B3, "--vectors", "1"]),
+}
+
+
+def terms_to_text(terms: list) -> str:
+    """Expression syntax rebuilt from a JSON term list."""
+    parts = [
+        "*".join([f"({t['coeff']})"] + [n if e == 1 else f"{n}^{e}" for n, e in t["monomial"]])
+        for t in terms
+    ]
+    return " + ".join(parts) or "0"
+
+
+def text_block(stdout: str, key: str) -> list[str]:
+    """The indented lines under `key` in a text report."""
+    lines = stdout.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split(" :")[0].rstrip() == key)
+    block = []
+    for line in lines[start + 1 :]:
+        if not line.startswith("  "):
+            break
+        block.append(line[2:])
+    return block
+
+
+class TestJsonAndTextAgree:
+    """The JSON term lists and the text lines of a report parse to the
+    same polynomials."""
+
+    @pytest.mark.parametrize(
+        "session,command",
+        [
+            ("gl", ("basis", "--degree", "2")),
+            ("o", ("basis", "--degree", "4")),
+            ("sp", ("basis", "--degree", "4")),
+            ("b3", ("basis", "--degree", "6")),
+            ("gl", ("decompose", "--expr", "c(1,1)*c(2,1) - 3/2*c(2,1)^2")),
+            ("o", ("decompose", "--expr", "s(1,1)*s(2,2)*s(3,3) - 2/7*s(1,2)^2*s(3,3) + s(1,3)^3")),
+            ("sp", ("decompose", "--expr", "w(1,2)*w(1,3) - 2/3*w(2,3)^2")),
+            ("b3", ("reynolds", "--expr", "x[1,1]^4 - 5/3*x[1,2]*x[1,3] + x[1,2]^2")),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_term_lists(self, capsys, session, command):
+        family, flags = SESSIONS[session]
+        key = {"basis": "basis", "decompose": "decomposition", "reynolds": "result"}[command[0]]
+        code, text, _ = run(capsys, *command, *flags)
+        assert code == 0
+        code, data, _ = run_json(capsys, *command, *flags)
+        assert code == 0
+        sig = SpaceSignature(data["n"], data["covectors"], data["vectors"])
+        from_json = data[key] if key == "basis" else [data[key]]
+        from_text = text_block(text, key)
+        assert len(from_text) == len(from_json) > 0
+        for terms, line in zip(from_json, from_text):
+            want = parse_expression(line, sig, family)
+            assert want and parse_expression(terms_to_text(terms), sig, family) == want
+
+    @pytest.mark.parametrize("session", ["gl", "o", "sp"])
+    def test_generators(self, capsys, session):
+        family, flags = SESSIONS[session]
+        _, text, _ = run(capsys, "generators", *flags)
+        _, data, _ = run_json(capsys, "generators", *flags)
+        sig = SpaceSignature(data["n"], data["covectors"], data["vectors"])
+        lines = text_block(text, "generators")
+        assert len(lines) == data["count"] == len(data["generators"]) > 0
+        for gen, line in zip(data["generators"], lines):
+            symbol, poly = line.split(" = ")
+            assert symbol == gen["id"]
+            want = parse_expression(poly, sig, family)
+            assert parse_expression(terms_to_text(gen["polynomial"]), sig, family) == want
+            assert parse_expression(symbol, sig, family) == want
 
 
 class TestArgumentValidation:

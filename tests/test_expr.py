@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from classinv.action import ActionContext, reynolds
 from classinv.certify import GeneratorId, contraction, decompose_in_generators
 from classinv.expr import (
     ExprSyntaxError,
@@ -10,13 +12,15 @@ from classinv.expr import (
     format_polynomial,
     parse_expression,
 )
-from classinv.groups import orthogonal
+from classinv.cli import read_matrix_file
+from classinv.groups import finite_group, orthogonal
 from classinv.poly import Polynomial, SpaceSignature, VarKind
 
 from test_poly import rand_poly
 
 OSIG = SpaceSignature(n=2, k=0, m=2)
 GLSIG = SpaceSignature(n=2, k=1, m=1)
+GROUPS = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
 
 def vvar(sig, copy, coord):
@@ -181,6 +185,47 @@ class TestRoundTrip:
             f = rand_poly(rng, OSIG)
             text = format_polynomial(f)
             assert format_polynomial(parse_expression(text, OSIG, "o")) == text
+
+
+class TestSumsCollectInOneTermMap:
+    """A sum is collected in one term map: with Polynomial.__add__ and
+    __sub__ refusing to run, the parser, reynolds and expand still give
+    their results."""
+
+    @pytest.fixture
+    def no_fold(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("a sum folded through Polynomial + or -")
+
+        monkeypatch.setattr(Polynomial, "__add__", refuse)
+        monkeypatch.setattr(Polynomial, "__sub__", refuse)
+
+    def test_parse(self, no_fold):
+        f = parse_expression("x[1,1]^2 - 3/4*x[1,2] + 2*x[1,1]^2 - (x[1,2] - x[2,1]) + 1", OSIG, "o")
+        assert f == Polynomial(
+            OSIG,
+            {
+                (2, 0, 0, 0): Fraction(3),
+                (0, 1, 0, 0): Fraction(-7, 4),
+                (0, 0, 1, 0): Fraction(1),
+                (0, 0, 0, 0): Fraction(1),
+            },
+        )
+
+    def test_reynolds_b3(self, no_fold):
+        spec = finite_group(read_matrix_file(str(GROUPS / "b3.txt")))
+        sig = SpaceSignature(3, 0, 1)
+        f = parse_expression("x[1,1]^4 + x[1,2]*x[1,3]", sig, "finite")
+        # the signs kill x2*x3 and the permutations share x1^4 out evenly
+        third = Fraction(1, 3)
+        want = {(4, 0, 0): third, (0, 4, 0): third, (0, 0, 4): third}
+        assert reynolds(ActionContext(spec, sig), f) == Polynomial(sig, want)
+
+    def test_expand(self, no_fold):
+        sig = SpaceSignature(2, 0, 3)
+        f = parse_expression("s(1,1)*s(2,2)*s(3,3) - s(1,2)^2*s(3,3) + 5/2*s(1,3)^3", sig, "o")
+        comb = decompose_in_generators(orthogonal(2), sig, f)
+        assert comb.expand() == f
 
 
 from hypothesis import given, strategies as st

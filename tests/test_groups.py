@@ -8,6 +8,7 @@ from classinv.exact import Echelon, Matrix, SingularMatrixError
 from classinv.groups import (
     ClosureCapExceeded,
     GroupSpec,
+    NotFiniteGroup,
     cayley,
     contains,
     finite_closure,
@@ -189,13 +190,14 @@ class TestFiniteClosure:
         assert len(finite_closure(gens)) == 6
 
     def test_infinite_generator_hits_cap(self):
+        # a unipotent element has trace n at every power, so only the cap stops it
         with pytest.raises(ClosureCapExceeded):
-            finite_closure([mat([[2]])], cap=100)
+            finite_closure([mat([[1, 1], [0, 1]])], cap=100)
 
     def test_kernel_proves_finiteness_first(self):
         # the kernel imposes the generator alone, which has infinite order
         rot = mat([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]])
-        with pytest.raises(ClosureCapExceeded):
+        with pytest.raises(NotFiniteGroup):
             invariant_subspace_basis(finite_group([rot], cap=100), SpaceSignature(2, 0, 1), 2)
 
     def test_idempotent(self):
