@@ -281,7 +281,7 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
     """Every subcommand with its help line, but only `command`'s with its
     arguments: argparse reads no other subparser's."""
     parser = argparse.ArgumentParser(

@@ -437,18 +437,23 @@ class TestFiniteGroups:
         assert data["dim_kernel"] == 2  # x^2 and y^2
 
     def test_rational_entries_infinite_order(self, capsys, tmp_path):
-        path = tmp_path / "rot.txt"
-        path.write_text("3/5 -4/5\n4/5 3/5\n")
+        path = tmp_path / "shear.txt"
+        path.write_text("1 1/2\n0 1\n")
         code, _, err = run(
             capsys,
             "check", "--group", "finite", "--group-file", str(path),
             "--vectors", "1", "--expr", "x[1,1]^2 + x[1,2]^2", "--max-order", "100",
         )
-        # that rotation has infinite order, so the closure walk must give up
+        # that shear has infinite order but trace 2 at every power, so only
+        # the element cap stops the closure walk
         assert code == 1
-        assert "error:" in err
+        assert err == "error: group closure exceeded 100 elements\n"
 
-    @pytest.mark.parametrize("text", ["2\n", "1e300 0\n0 1\n"], ids=["2", "diag(10^300,1)"])
+    @pytest.mark.parametrize(
+        "text",
+        ["2\n", "1e300 0\n0 1\n", "3/5 -4/5\n4/5 3/5\n"],
+        ids=["2", "diag(10^300,1)", "rotation-3-4-5"],
+    )
     def test_infinite_order_refused_at_once(self, capsys, tmp_path, text):
         # the first element's trace is not an integer in [-n, n], so the
         # closure stops there instead of walking to --max-order
@@ -472,15 +477,15 @@ class TestFiniteGroups:
         ids=["basis", "gendeg"],
     )
     def test_infinite_order_rejected(self, capsys, tmp_path, command):
-        path = tmp_path / "rot.txt"
-        path.write_text("3/5 -4/5\n4/5 3/5\n")
+        path = tmp_path / "shear.txt"
+        path.write_text("1 1\n0 1\n")
         code, _, err = run(
             capsys,
             command[0], "--group", "finite", "--group-file", str(path),
             "--vectors", "1", *command[1:], "--max-order", "100",
         )
         assert code == 1
-        assert "error:" in err
+        assert err == "error: group closure exceeded 100 elements\n"
 
     @pytest.mark.parametrize(
         "command",
