@@ -79,7 +79,14 @@ walk (see Procesi, *Lie Groups*, 2007).
 Every rank here is one sparse ``exact.Echelon`` over rows keyed by
 monomial: product spans and decompositions insert expanded products, and
 a cut inserts the rows D v or (g - 1) v and keeps the relations among
-them as the surviving combinations.
+them as the surviving combinations.  Up to the canonical stage the
+kernel is integral: the orbit walk yields integer vectors, D v of an
+integer vector is one, the relations are primitive integer combinations,
+and the product span multiplies the contractions' integer coefficients.
+Only a cut through `act` (the 3-4-5 rotation, a finite group's
+generators) makes rational rows, which `Echelon` scales to integers as
+it inserts them.  A ``Fraction`` is made once, when `rref` puts each
+block in reduced echelon form.
 """
 
 from __future__ import annotations
@@ -90,7 +97,7 @@ from math import lcm
 from operator import add, itemgetter, neg, pos, xor
 
 from .action import ActionContext, act, derivation, is_invariant, substitution
-from .exact import Echelon, ONE, ZERO, add_scaled, ensure, rref
+from .exact import Echelon, add_scaled, ensure, rref
 from .groups import GroupElement, GroupSpec, form_matrix, small_integer_elements
 from .poly import (
     DEFAULT_DIM_CAP,
@@ -214,13 +221,24 @@ def generators_for(spec: GroupSpec, sig: SpaceSignature) -> list[GeneratorId]:
 # generator products
 
 
-def _power_product(sig: SpaceSignature, factors, exps) -> Polynomial:
-    """prod factors[i]^exps[i], multiplied out one factor at a time."""
-    p = Polynomial.constant(sig, 1)
+def _term_product(sig: SpaceSignature, factors: list[dict], exps) -> dict:
+    """prod factors[i]^exps[i] over term dicts, multiplied out one factor
+    at a time; integer terms give integer terms."""
+    p = {(0,) * sig.num_vars: 1}
     for g, e in zip(factors, exps):
         for _ in range(e):
-            p = p * g
+            out: dict = {}
+            for m1, c1 in p.items():
+                for m2, c2 in g.items():
+                    mono = tuple(map(add, m1, m2))
+                    out[mono] = out.get(mono, 0) + c1 * c2
+            p = {m: c for m, c in out.items() if c}
     return p
+
+
+def _power_product(sig: SpaceSignature, factors: list[Polynomial], exps) -> Polynomial:
+    """_term_product of Polynomials."""
+    return Polynomial(sig, _term_product(sig, [g.terms for g in factors], exps))
 
 
 @dataclass(frozen=True)
@@ -287,14 +305,16 @@ def _class_spans(spec: GroupSpec, sig: SpaceSignature, d: int, sizes: dict) -> t
     vectors of c(i,j) separately, so it carries block mu's products onto
     block sigma(mu)'s up to sign, and both have one rank.  Blocks share
     no monomial, so the span's dimension is the sum of class size times
-    rank, and only the representatives' products are expanded.
+    rank, and only the representatives' products are expanded, over the
+    contractions' integer coefficients.
     """
     expansions = [contraction(g, sig) for g in generators_for(spec, sig)]
+    factors = [{m: int(c) for m, c in g.terms.items()} for g in expansions]
     echelons = {rep: Echelon() for rep in sizes}
     for exps, block in _contraction_products(sig, expansions, d):
         echelon = echelons.get(block)
         if echelon is not None:
-            echelon.insert(_power_product(sig, expansions, exps).terms)
+            echelon.insert(_term_product(sig, factors, exps))
     return tuple((rep, size, echelons[rep].rank) for rep, size in sizes.items())
 
 
@@ -439,7 +459,8 @@ def _orbit_kernel(monos: list[Monomial], varmaps: list) -> list[dict]:
     per orbit gives its first monomial weight 1 and every monomial reached
     the weight the edge forces; reaching a monomial again with another
     weight kills the orbit.  Weights stay ints unless a scale is not +-1,
-    and each surviving orbit contributes one basis vector.
+    and each surviving orbit contributes one basis vector, an integer
+    vector scaled by the lcm of its weights' denominators.
     """
     moves = [(_picker(src), _picker(neg), powers) for src, neg, powers in varmaps]
     weight: dict = {}
@@ -468,51 +489,49 @@ def _orbit_kernel(monos: list[Monomial], varmaps: list) -> list[dict]:
                 elif seen != c:
                     alive = False
         if alive:
-            basis.append({m: Fraction(weight[m]) for m in orbit})
+            den = lcm(*(weight[m].denominator for m in orbit))
+            basis.append({m: weight[m].numerator * (den // weight[m].denominator) for m in orbit})
     return basis
 
 
-def _derive(moves: list, scale: int, v: dict) -> dict:
-    """D v, for the derivation D that sends each variable x of `moves`
-    to its form divided by `scale`, and the others to 0.
-
-    A form is a tuple of (variable, integer numerator) pairs.  The terms
-    are collected as integers over v's common denominator times scale,
-    and each output term is divided once.
-    """
-    den = lcm(*(c.denominator for c in v.values()))
+def _derive(moves: list, v: dict) -> dict:
+    """D v for an integer vector v, for the derivation D that sends each
+    variable x of `moves` to its form, a tuple of (variable, integer
+    coefficient) pairs, and the others to 0."""
     acc: dict = {}
     for m, c in v.items():
-        p = c.numerator * (den // c.denominator)
         for x, form in moves:
             e = m[x]
             if not e:
                 continue
-            pe = p * e
+            ce = c * e
             base = m[:x] + (e - 1,) + m[x + 1 :]
             for u, fc in form:
                 mono = base[:u] + (base[u] + 1,) + base[u + 1 :]
-                acc[mono] = acc.get(mono, 0) + pe * fc
-    den *= scale
-    return {m: Fraction(t, den) for m, t in acc.items() if t}
+                acc[mono] = acc.get(mono, 0) + ce * fc
+    return {m: t for m, t in acc.items() if t}
 
 
 def _cut_rows(ctx: ActionContext, elem: GroupElement):
     """The map v -> row of elem's cut: D v when elem has a derivation D
     (`action.derivation`), whose kernel is the space elem fixes, and
-    act(elem, v) - v otherwise."""
+    act(elem, v) - v otherwise.
+
+    D is taken times the lcm of its forms' denominators: every row of a
+    cut shares that scale, so the relations among the rows are D's own.
+    """
     forms = derivation(ctx.sig, elem)
     if forms is None:
 
         def row(v):
             w = dict(act(ctx, elem, Polynomial(ctx.sig, v)).terms)
-            add_scaled(w, -ONE, v)
+            add_scaled(w, -1, v)
             return w
 
         return row
-    scale, forms = integer_forms(forms)
+    _, forms = integer_forms(forms)
     moves = [(x, form) for x, form in enumerate(forms) if form]
-    return lambda v: _derive(moves, scale, v)
+    return lambda v: _derive(moves, v)
 
 
 def _generic_cut(rows, vectors: list[dict]) -> list[dict]:
@@ -524,9 +543,10 @@ def _generic_cut(rows, vectors: list[dict]) -> list[dict]:
     (elem - 1) v_i for any other.  It is inserted into an Echelon with
     tag i.  Each row that reduces to zero gives a relation
     sum c_i rows(v_i) = 0, so sum c_i v_i is in the kernel, and the
-    relations span every such combination.  The vectors returned are
-    independent but not canonical; invariant_subspace_basis re-echelons
-    each block once at the end.
+    relations span every such combination.  The relations are integer
+    combinations, so integer vectors stay integer.  The vectors returned
+    are independent but not canonical; invariant_subspace_basis
+    re-echelons each block once at the end.
     """
     echelon = Echelon()
     for i, v in enumerate(vectors):
@@ -610,7 +630,7 @@ def invariant_subspace_basis(
             # the block order restricted to the monomials in use: the
             # columns left out are zero, so the reduced form is the same
             monos = sorted({m for v in moved for m in v}, reverse=True)
-            reduced, pivots = rref([[v.get(m, ZERO) for m in monos] for v in moved])
+            reduced, pivots = rref([[v.get(m, 0) for m in monos] for v in moved])
             ensure(len(pivots) == len(vecs), "a block basis lost rank in canonical form")
             for r in reduced:
                 polys.append(Polynomial(sig, {m: c for m, c in zip(monos, r) if c}))

@@ -149,13 +149,14 @@ def terms_json(items) -> list:
     ]
 
 
-def emit(out: dict, as_json: bool, text_overrides: dict) -> None:
+def emit(out: dict, as_json: bool) -> None:
+    """Print the report as JSON, or as one `key : value` line per field,
+    a list of strings one line each under its key."""
     if as_json:
         print(json.dumps(out, indent=2))
         return
     width = max(len(k) for k in out)
     for key, value in out.items():
-        value = text_overrides.get(key, value)
         if isinstance(value, bool):
             value = "true" if value else "false"
         if isinstance(value, list) and value and isinstance(value[0], str):
@@ -171,8 +172,9 @@ def emit(out: dict, as_json: bool, text_overrides: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (report, text overrides, exit code); main puts the
-# session in front of the report and prints it
+# handlers: each returns (report, exit code); main puts the session in
+# front of the report and prints it.  A handler renders each polynomial
+# once, in the format that is printed: a JSON term list, or a text line.
 
 
 def cmd_check(args, spec, sig):
@@ -184,31 +186,33 @@ def cmd_check(args, spec, sig):
         "samples_used": len(small_integer_elements(spec)),
         "seed": args.seed,
     }
-    return out, {}, EXIT_OK if invariant else EXIT_INCONCLUSIVE
+    return out, EXIT_OK if invariant else EXIT_INCONCLUSIVE
 
 
 def cmd_basis(args, spec, sig):
     kr = invariant_subspace_basis(spec, sig, args.degree, dim_cap=args.dim_cap)
+    if args.format == "json":
+        basis = [terms_json(polynomial_terms(p)) for p in kr.basis]
+    else:
+        basis = [format_polynomial(p) for p in kr.basis]
     out = {
         "degree": args.degree,
         "dim_space": space_dimension(sig, args.degree),
         "dim_kernel": kr.dim,
-        "basis": [terms_json(polynomial_terms(p)) for p in kr.basis],
+        "basis": basis,
         "samples_used": kr.samples_used,
         "seed": args.seed,
     }
-    return out, {"basis": [format_polynomial(p) for p in kr.basis]}, EXIT_OK
+    return out, EXIT_OK
 
 
 def cmd_generators(args, spec, sig):
     gens = [(g.symbol(), contraction(g, sig)) for g in generators_for(spec, sig)]
-    out = {
-        "count": len(gens),
-        "generators": [
-            {"id": sym, "polynomial": terms_json(polynomial_terms(p))} for sym, p in gens
-        ],
-    }
-    return out, {"generators": [f"{sym} = {format_polynomial(p)}" for sym, p in gens]}, EXIT_OK
+    if args.format == "json":
+        listed = [{"id": sym, "polynomial": terms_json(polynomial_terms(p))} for sym, p in gens]
+    else:
+        listed = [f"{sym} = {format_polynomial(p)}" for sym, p in gens]
+    return {"count": len(gens), "generators": listed}, EXIT_OK
 
 
 def cmd_fft_verify(args, spec, sig):
@@ -223,18 +227,22 @@ def cmd_fft_verify(args, spec, sig):
         "seed": rep.seed,
         "free_products": rep.free_products,
     }
-    return out, {}, EXIT_OK if rep.certified else EXIT_INCONCLUSIVE
+    return out, EXIT_OK if rep.certified else EXIT_INCONCLUSIVE
 
 
 def cmd_decompose(args, spec, sig):
     f = parse_expression(args.expr, sig, spec.family, dim_cap=args.dim_cap)
     comb = decompose_in_generators(spec, sig, f, dim_cap=args.dim_cap)
+    if args.format == "json":
+        decomposition = terms_json(combination_terms(comb))
+    else:
+        decomposition = [format_generator_combination(comb)]
     out = {
         "degree": 0 if f.degree() is None else f.degree(),
-        "decomposition": terms_json(combination_terms(comb)),
+        "decomposition": decomposition,
         "seed": args.seed,
     }
-    return out, {"decomposition": [format_generator_combination(comb)]}, EXIT_OK
+    return out, EXIT_OK
 
 
 def cmd_gendeg(args, spec, sig):
@@ -247,7 +255,7 @@ def cmd_gendeg(args, spec, sig):
         "new_by_degree": {str(d): c for d, c in sorted(rep.new_by_degree.items())},
         "seed": rep.seed,
     }
-    return out, {}, EXIT_OK
+    return out, EXIT_OK
 
 
 def cmd_reynolds(args, spec, sig):
@@ -255,8 +263,11 @@ def cmd_reynolds(args, spec, sig):
         raise CliError("the projection onto invariants needs a finite group")
     f = parse_expression(args.expr, sig, spec.family, dim_cap=args.dim_cap)
     result = reynolds(ActionContext(spec, sig), f)
-    out = {"order": len(group_elements(spec)), "result": terms_json(polynomial_terms(result))}
-    return out, {"result": [format_polynomial(result)]}, EXIT_OK
+    if args.format == "json":
+        rendered = terms_json(polynomial_terms(result))
+    else:
+        rendered = [format_polynomial(result)]
+    return {"order": len(group_elements(spec)), "result": rendered}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +341,11 @@ def main(argv=None) -> int:
         return EXIT_OK if e.code == 0 else EXIT_ERROR
     try:
         spec, sig = make_session(args)
-        out, text_overrides, code = args.handler(args, spec, sig)
+        out, code = args.handler(args, spec, sig)
         out = {"group": spec.family, "n": sig.n, "covectors": sig.k, "vectors": sig.m, **out}
         if args.timing:
             out["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-        emit(out, args.format == "json", text_overrides)
+        emit(out, args.format == "json")
         return code
     except (ValueError, ClosureCapExceeded, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

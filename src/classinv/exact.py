@@ -1,16 +1,20 @@
 """Exact rational scalars, dense rational matrices, sparse echelon forms.
 
-The base field is Q, realized by ``fractions.Fraction``: always reduced,
-positive denominator, zero stored as 0/1.  Everything downstream relies on
-these operations being exact; there is no floating point anywhere.
-Every exact elimination in the package runs through one sparse engine,
-``Echelon``; ``rref``, ``nullspace_basis``, ``Matrix.inverse`` and
-``Matrix.rank`` are thin dense views of it.
+The base field is Q.  Everything downstream relies on these operations
+being exact; there is no floating point anywhere.  Every exact
+elimination in the package runs through one sparse engine, ``Echelon``;
+``rref``, ``nullspace_basis``, ``Matrix.inverse`` and ``Matrix.rank``
+are thin dense views of it.  ``Echelon`` is fraction-free: its rows are
+primitive integer rows, and a ``fractions.Fraction`` (always reduced,
+positive denominator) appears only in what it hands back, the reduced
+rows and the results of ``reduce``.  A ``Matrix`` holds ``Fraction``
+entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
@@ -177,28 +181,51 @@ class Matrix:
 def add_scaled(row: dict, c, other: dict) -> None:
     """row += c * other, in place, dropping entries that cancel."""
     for m, v in other.items():
-        s = row.get(m, ZERO) + c * v
+        s = row.get(m, 0) + c * v
         if s:
             row[m] = s
         else:
             row.pop(m, None)
 
 
+def _integral(values: dict, den: int) -> dict:
+    # den * values as ints, zeros dropped; den is a multiple of every denominator
+    return {m: c.numerator * (den // c.denominator) for m, c in values.items() if c}
+
+
+def _scale(row: dict, a: int) -> None:
+    if a != 1:
+        for m in row:
+            row[m] *= a
+
+
 class Echelon:
-    """Incremental echelon form over sparse rows ``{column: value}``.
+    """Incremental fraction-free echelon form over sparse rows
+    ``{column: value}``, values ``int`` or ``Fraction``.
 
-    A row's pivot is its largest column key, and every pivot row is scaled
-    to a leading 1.  Keys are compared in their natural order.  For the
-    monomial-keyed rows of ``certify`` that is graded-lex order only
-    because every caller passes rows of a single degree, where tuple order
-    and graded-lex order agree.  ``rref`` keys column j as -j, so the
-    first nonzero entry leads.
+    A row's pivot is its largest column key.  Keys are compared in their
+    natural order.  For the monomial-keyed rows of ``certify`` that is
+    graded-lex order only because every caller passes rows of a single
+    degree, where tuple order and graded-lex order agree.  ``rref`` keys
+    column j as -j, so the first nonzero entry leads.
 
-    A row inserted with a ``tag`` carries the combination of inserted rows
-    it equals.  When a tagged row reduces to zero, the combination
-    ``{tag: coefficient}`` of inserted rows that sums to the zero row is
-    appended to ``relations``; there are as many relations as tagged rows
-    minus the rank.  Tagged and untagged rows do not mix in one instance.
+    Every pivot row is a primitive integer row with a positive lead: an
+    incoming row is scaled by the lcm of its denominators, a reduction
+    step cross-multiplies by the two leads, each divided by their gcd,
+    and the content is divided out when a pivot is stored (Bareiss,
+    *Math. Comp.* 22, 1968; Geddes, Czapor and Labahn, *Algorithms for
+    Computer Algebra*, 1992).  Each pivot row is a nonzero multiple of
+    the pivot row a rational elimination with leading 1s would store, so
+    ``reduced_rows`` and ``reduce`` return exactly its results; those two
+    are the only places a ``Fraction`` is made.
+
+    A row inserted with a ``tag`` carries, as an integer dict scaled with
+    the row, the combination of inserted rows it equals: a row scaled by
+    den starts from ``{tag: den}``.  When a tagged row reduces to zero,
+    the primitive integer combination ``{tag: coefficient}`` of inserted
+    rows that sums to the zero row is appended to ``relations``; there
+    are as many relations as tagged rows minus the rank.  Tagged and
+    untagged rows do not mix in one instance.
     """
 
     __slots__ = ("pivots", "relations")
@@ -211,57 +238,93 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
+    def _eliminate(self, row: dict, combo: dict | None) -> int:
+        """Cancel pivot leads of the integer row, in place, until its lead
+        is no pivot; the combination is scaled and reduced alongside.
+        Returns the factor the row was multiplied by."""
+        mult = 1
+        pivots = self.pivots
+        while row:
+            lead = max(row)
+            hit = pivots.get(lead)
+            if hit is None:
+                break
+            prow, pcombo = hit
+            a, b = prow[lead], row[lead]
+            g = gcd(a, b)
+            a, b = a // g, -b // g
+            mult *= a
+            _scale(row, a)
+            add_scaled(row, b, prow)
+            if combo is not None:
+                _scale(combo, a)
+                add_scaled(combo, b, pcombo)
+        return mult
+
     def reduce(self, row: dict, combo: dict | None = None) -> tuple[dict, dict | None]:
         """Cancel pivot leads until the lead of the row is no pivot.
 
-        Returns (remainder, combination): the remainder equals ``row``
-        plus the sum of combination[t] times inserted row t, where the
-        combination starts from ``combo`` (None tracks nothing).
+        Returns (remainder, combination) as ``Fraction`` dicts: the
+        remainder equals ``row`` plus the sum of combination[t] times
+        inserted row t, where the combination starts from ``combo`` (None
+        tracks nothing).  Both are computed in integers and divided once.
         """
-        row = dict(row)
+        values = [*row.values(), *(combo or {}).values()]
+        den = lcm(*(c.denominator for c in values))
+        row = _integral(row, den)
         if combo is not None:
-            combo = dict(combo)
-        while row:
-            lead = max(row)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                break
-            c = -row[lead]
-            add_scaled(row, c, hit[0])
-            if combo is not None:
-                add_scaled(combo, c, hit[1])
-        return row, combo
+            combo = _integral(combo, den)
+        den *= self._eliminate(row, combo)
+        if combo is not None:
+            combo = {t: Fraction(c, den) for t, c in combo.items()}
+        return {m: Fraction(c, den) for m, c in row.items()}, combo
 
-    def insert(self, row: dict, tag=None) -> dict:
-        """Add a row.  Returns its remainder after ``reduce``: nonempty
-        (the new pivot row, before scaling) when it was independent of the
-        rows so far, empty when it was not."""
-        row, combo = self.reduce(row, None if tag is None else {tag: ONE})
+    def insert(self, row: dict, tag=None) -> bool:
+        """Add a row.  Returns whether it was independent of the rows so
+        far, that is, whether it added a pivot."""
+        den = lcm(*(c.denominator for c in row.values()))
+        row = _integral(row, den)
+        combo = None if tag is None else {tag: den}
+        self._eliminate(row, combo)
         if not row:
             if combo is not None:
-                self.relations.append(combo)
-            return row
+                g = gcd(*combo.values())
+                self.relations.append({t: c // g for t, c in combo.items()})
+            return False
         lead = max(row)
-        inv = ONE / row[lead]
-        self.pivots[lead] = (
-            {m: v * inv for m, v in row.items()},
-            None if combo is None else {t: v * inv for t, v in combo.items()},
-        )
-        return row
+        g = gcd(*row.values(), *(combo or {}).values())
+        if row[lead] < 0:
+            g = -g
+        if g != 1:
+            row = {m: c // g for m, c in row.items()}
+            if combo is not None:
+                combo = {t: c // g for t, c in combo.items()}
+        self.pivots[lead] = (row, combo)
+        return True
 
     def reduced_rows(self) -> list[dict]:
-        """Back-substitution: the reduced echelon rows, leading pivot first.
+        """Back-substitution: the reduced echelon rows, leading pivot first,
+        each divided by its lead, so every pivot entry is 1.
 
         Every returned row is zero on the other rows' pivot columns; the
-        echelon form itself is left as it is.
+        echelon form itself is left as it is.  The back-substitution runs
+        on primitive integer rows.
         """
         done: dict = {}
         for lead in sorted(self.pivots):
             row = dict(self.pivots[lead][0])
             for col in [m for m in row if m != lead and m in done]:
-                add_scaled(row, -row[col], done[col])
-            done[lead] = row
-        return [done[lead] for lead in sorted(done, reverse=True)]
+                other = done[col]
+                a, b = other[col], row[col]
+                g = gcd(a, b)
+                _scale(row, a // g)
+                add_scaled(row, -b // g, other)
+            g = gcd(*row.values())
+            done[lead] = {m: c // g for m, c in row.items()} if g != 1 else row
+        return [
+            {m: Fraction(c, row[lead]) for m, c in row.items()}
+            for lead, row in sorted(done.items(), reverse=True)
+        ]
 
 
 def _keyed(row: Sequence) -> dict:
@@ -269,8 +332,9 @@ def _keyed(row: Sequence) -> dict:
     return {-j: x for j, x in enumerate(row) if x}
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with first-nonzero pivoting.
+def rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form with first-nonzero pivoting, of rows of
+    ints and Fractions.
 
     Returns (nonzero rows with pivot entries 1, pivot column indices).
     """

@@ -211,8 +211,11 @@ def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> list[Matrix]:
     matrices containing the identity contains every inverse, so this is
     the generated group.  Raises ClosureCapExceeded past the cap, and
     NotFiniteGroup at the first element whose trace is not an integer in
-    [-n, n]: an element of finite order has n roots of unity as
-    eigenvalues, so a rational trace of one is such an integer.
+    [-n, n], or is n: an element of finite order has n roots of unity as
+    eigenvalues, so a rational trace of one is such an integer, and it
+    is diagonalizable, so with trace n every eigenvalue is 1 and it is
+    the identity.  A unipotent generator such as a shear is refused on
+    its first power.
     """
     gens = list(generators)
     if not gens:
@@ -234,7 +237,7 @@ def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> list[Matrix]:
                 p = h @ g
                 if p not in seen:
                     trace = sum(p.entries[:: n + 1])
-                    if trace.denominator != 1 or abs(trace) > n:
+                    if trace.denominator != 1 or not -n <= trace < n:
                         # the trace itself may be too long to print
                         raise NotFiniteGroup("the generators generate an element of infinite order")
                     if len(seen) >= cap:

@@ -9,6 +9,18 @@ from classinv.expr import parse_expression
 from classinv.poly import SpaceSignature
 
 
+# the 384 signed permutations of 4 coordinates: a finite group whose
+# closure passes every trace test and outgrows --max-order 100
+SIGNED_PERMUTATIONS_4 = "\n\n".join(
+    [
+        "-1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1",
+        "0 1 0 0\n1 0 0 0\n0 0 1 0\n0 0 0 1",
+        "1 0 0 0\n0 0 1 0\n0 1 0 0\n0 0 0 1",
+        "1 0 0 0\n0 1 0 0\n0 0 0 1\n0 0 1 0",
+    ]
+) + "\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -437,26 +449,33 @@ class TestFiniteGroups:
         assert data["dim_kernel"] == 2  # x^2 and y^2
 
     def test_rational_entries_infinite_order(self, capsys, tmp_path):
-        path = tmp_path / "shear.txt"
-        path.write_text("1 1/2\n0 1\n")
+        # the signed permutations conjugated by diag(2, 1, 1, 1): a finite
+        # group with rational entries whose closure only the cap stops
+        path = tmp_path / "conjugate.txt"
+        path.write_text(SIGNED_PERMUTATIONS_4.replace("0 1 0 0\n1 0 0 0", "0 2 0 0\n1/2 0 0 0"))
         code, _, err = run(
             capsys,
             "check", "--group", "finite", "--group-file", str(path),
             "--vectors", "1", "--expr", "x[1,1]^2 + x[1,2]^2", "--max-order", "100",
         )
-        # that shear has infinite order but trace 2 at every power, so only
-        # the element cap stops the closure walk
         assert code == 1
         assert err == "error: group closure exceeded 100 elements\n"
 
     @pytest.mark.parametrize(
         "text",
-        ["2\n", "1e300 0\n0 1\n", "3/5 -4/5\n4/5 3/5\n"],
-        ids=["2", "diag(10^300,1)", "rotation-3-4-5"],
+        [
+            "2\n",
+            "1e300 0\n0 1\n",
+            "3/5 -4/5\n4/5 3/5\n",
+            "1 1\n0 1\n",
+            "1 1/2\n0 1\n",
+        ],
+        ids=["2", "diag(10^300,1)", "rotation-3-4-5", "shear", "rational-shear"],
     )
     def test_infinite_order_refused_at_once(self, capsys, tmp_path, text):
-        # the first element's trace is not an integer in [-n, n], so the
-        # closure stops there instead of walking to --max-order
+        # the first element's trace is not an integer in [-n, n), so the
+        # closure stops there instead of walking to --max-order: only the
+        # identity has finite order and trace n
         path = tmp_path / "diag.txt"
         path.write_text(text)
         started = time.monotonic()
@@ -477,8 +496,9 @@ class TestFiniteGroups:
         ids=["basis", "gendeg"],
     )
     def test_infinite_order_rejected(self, capsys, tmp_path, command):
-        path = tmp_path / "shear.txt"
-        path.write_text("1 1\n0 1\n")
+        # a group larger than --max-order is refused like an infinite one
+        path = tmp_path / "signed.txt"
+        path.write_text(SIGNED_PERMUTATIONS_4)
         code, _, err = run(
             capsys,
             command[0], "--group", "finite", "--group-file", str(path),

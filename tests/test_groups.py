@@ -190,9 +190,28 @@ class TestFiniteClosure:
         assert len(finite_closure(gens)) == 6
 
     def test_infinite_generator_hits_cap(self):
-        # a unipotent element has trace n at every power, so only the cap stops it
+        # the 384 signed permutations of 4 coordinates pass every trace
+        # test, so only the cap stops their closure
+        gens = [mat([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])]
+        for a in range(3):
+            swap = [[int(i == j) for j in range(4)] for i in range(4)]
+            swap[a][a] = swap[a + 1][a + 1] = 0
+            swap[a][a + 1] = swap[a + 1][a] = 1
+            gens.append(mat(swap))
+        assert len(finite_closure(gens, cap=384)) == 384
         with pytest.raises(ClosureCapExceeded):
-            finite_closure([mat([[1, 1], [0, 1]])], cap=100)
+            finite_closure(gens, cap=100)
+
+    @pytest.mark.parametrize(
+        "g",
+        [[[1, 1], [0, 1]], [[1, Fraction(1, 2)], [0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]],
+        ids=["shear", "rational-shear", "shear-3"],
+    )
+    def test_unipotent_generator_refused_at_once(self, g):
+        # a finite-order element with trace n is the identity, so a shear
+        # is refused on its first power, not at the cap
+        with pytest.raises(NotFiniteGroup):
+            finite_closure([mat(g)], cap=10**9)
 
     def test_kernel_proves_finiteness_first(self):
         # the kernel imposes the generator alone, which has infinite order
