@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ONE, ZERO, Matrix, add_scaled
+from .exact import add_scaled
 from .groups import (
     GroupElement,
     GroupSpec,
@@ -23,7 +23,7 @@ from .groups import (
     group_elements,
     small_integer_elements,
 )
-from .poly import Polynomial, SpaceSignature, VarKind, linear_forms
+from .poly import Polynomial, SpaceSignature, VarKind
 
 
 @dataclass(frozen=True)
@@ -43,34 +43,12 @@ def substitution(sig: SpaceSignature, elem: GroupElement) -> dict:
     acts: g^T for every covector copy, g^-1 for every vector copy.
 
     This is the one statement of the action convention; `act` substitutes
-    it and the kernel reads its monomial moves off the same forms.
+    it and the kernel's constraint table reads its moves off the same.
     """
     gT = elem.g.transpose()
     assign = {(VarKind.COVECTOR, i): gT for i in range(1, sig.k + 1)}
     assign.update({(VarKind.VECTOR, j): elem.g_inv for j in range(1, sig.m + 1)})
     return assign
-
-
-def derivation(sig: SpaceSignature, elem: GroupElement) -> list | None:
-    """The nilpotent logarithm of elem's substitution, when (g - 1)^2 = 0
-    and g != 1; else None.
-
-    Entry v is variable v's form under `substitution` minus the variable
-    itself, as (variable, nonzero coefficient) pairs: N^T on covector
-    copies and -N on vector copies, with N = g - 1.  The derivation D
-    extending these forms has exp(D) = act(elem), and since
-    exp(D) - 1 = D (1 + D/2! + ...) with the second factor invertible,
-    the polynomials elem fixes are exactly those D kills.
-    """
-    nil = elem.g - Matrix.identity(elem.g.rows)
-    if not any(nil.entries) or any((nil @ nil).entries):
-        return None
-    forms = []
-    for v, form in enumerate(linear_forms(sig, substitution(sig, elem))):
-        moved = dict(form)
-        moved[v] = moved.get(v, ZERO) - ONE
-        forms.append(tuple((u, c) for u, c in moved.items() if c))
-    return forms
 
 
 def act(ctx: ActionContext, elem: GroupElement, f: Polynomial) -> Polynomial:

@@ -18,26 +18,25 @@ that degree.
 
 An element u with (u - 1)^2 = 0 (the shears and the symplectic
 transvection) is imposed through the derivation D that u - 1 induces
-(`action.derivation`) instead of act(u, .) - id.  The substitution of
-u is exp(D), and exp(D) - 1 = D (1 + D/2! + ...) whose second factor
-is unipotent, hence invertible, so the two constraints have one kernel
-on every graded piece and the sandwich is unchanged (Derksen and
-Kemper, *Computational Invariant Theory*, 2nd ed., 2015).
+instead of act(u, .) - id.  The substitution of u is exp(D), and
+exp(D) - 1 = D (1 + D/2! + ...) whose second factor is unipotent, hence
+invertible, so the two constraints have one kernel on every graded piece
+and the sandwich is unchanged (Derksen and Kemper, *Computational
+Invariant Theory*, 2nd ed., 2015).
 
 Kernels are computed block by block: the action rewrites each copy's
 coordinates within the copy, so the per-copy multidegree splits a graded
 piece into independent blocks and no matrix ever reaches the full graded
-dimension.  How an element moves the variables is stated once, by
-`action.substitution`; this module reads it and never looks at g or
-g^-1 itself.  When every variable's form there has a single term, the
-element acts by monomial relabeling, and the combined constraint set
-of such elements is solved by one integer-weighted walk per monomial
-orbit before any row reduction happens; the other elements then cut
-the small surviving space.  A unipotent one maps each surviving vector
-to D v, whose terms are each monomial's variables moved one at a time,
-with integer coefficients; any other (the 3-4-5 rotation, a finite
-group's generators) to one `act`, whose substitution builds each
-monomial's image from memoized lower-degree images.
+dimension.  `_constraint_table` reads each element's kind off g, once
+per signature for a classical list (per call for a finite group's), and
+its moves off `action.substitution`.  The scaled permutations are solved
+together by one integer-weighted walk per monomial orbit before any row
+reduction happens; the other elements then cut the small surviving
+space.  A unipotent one maps each surviving vector to D v, whose terms
+are each monomial's variables moved one at a time, with integer
+coefficients; any other (the 3-4-5 rotation, a finite group's other
+generators) to one `act`, whose substitution builds each monomial's
+image from memoized lower-degree images.
 
 Blocks come in copy-permutation classes.  Every vector copy is moved by
 the same g^-1 and every covector copy by the same g^T, so permuting
@@ -93,12 +92,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add, itemgetter, neg, pos, xor
 
-from .action import ActionContext, act, derivation, is_invariant, substitution
-from .exact import Echelon, add_scaled, ensure, rref
-from .groups import GroupElement, GroupSpec, form_matrix, small_integer_elements
+from .action import ActionContext, act, is_invariant, substitution
+from .exact import Echelon, Matrix, add_scaled, ensure, rref
+from .groups import GroupSpec, form_matrix, small_integer_elements
 from .poly import (
     DEFAULT_DIM_CAP,
     Monomial,
@@ -342,17 +342,24 @@ def generator_products_basis(
 # kernel of the invariance constraints
 
 
+@lru_cache(maxsize=None)
+def _copy_exponents(n: int, c: int) -> tuple:
+    """The exponent vectors of one copy of degree c, lex descending."""
+    return tuple(_exponents_desc(n, c))
+
+
 def _block_monomials(sig: SpaceSignature, comp: tuple) -> list[Monomial]:
-    parts = [list(_exponents_desc(sig.n, c)) for c in comp]
+    parts = [_copy_exponents(sig.n, c) for c in comp]
     out = [()]
     for part in parts:
         out = [a + b for a in out for b in part]
     return out
 
 
-def _weight_zero_monomials(family: str, sig: SpaceSignature, comp: tuple) -> list[Monomial]:
-    """The monomials of block comp that the family's diagonal torus fixes,
-    in _block_monomials order; every block monomial for a finite group.
+def _weight_zero_monomials(family: str, sig: SpaceSignature, comps: list) -> list[list]:
+    """For each block of comps, the monomials the family's diagonal torus
+    fixes, in _block_monomials order; every block monomial for a finite
+    group.
 
     Summed over the copies, each coordinate's exponent is even (o), each
     coordinate's covector exponent equals its vector exponent (gl), and
@@ -360,62 +367,49 @@ def _weight_zero_monomials(family: str, sig: SpaceSignature, comp: tuple) -> lis
     (sp).  A copy's exponent vector e gets an integer weight: for o the
     bitmask of its odd entries, combined by xor; for gl the entries of e,
     negated on vector copies, and for sp the pair differences, packed in
-    base 2d+1 and combined by addition.  The copies before the last one
-    of positive degree are enumerated with their weights, and the last
-    one's exponent vectors are looked up by the weight they cancel.
+    base 2d+1 (d the largest block degree) and combined by addition.
+    Each copy degree's exponent vectors are weighed once per call and
+    side.  In a block, the copies before the last one of positive degree
+    are enumerated with their weights, and the last one's exponent
+    vectors are looked up by the weight they cancel.
     """
-    if family not in ("o", "gl", "sp") or not any(comp):
-        return _block_monomials(sig, comp)
+    if family not in ("o", "gl", "sp"):
+        return [_block_monomials(sig, comp) for comp in comps]
     n, k = sig.n, sig.k
     if family == "o":
 
-        def weigh(c, e):
+        def weigh(vector, e):
             return sum(1 << a for a in range(n) if e[a] & 1)
 
         combine, cancel = xor, pos
     else:
-        base = 2 * sum(comp) + 1
+        base = 2 * max(map(sum, comps)) + 1
 
-        def weigh(c, e):
+        def weigh(vector, e):
             digits = e if family == "gl" else [e[a] - e[a + 1] for a in range(0, n, 2)]
             w = 0
             for x in reversed(digits):
                 w = w * base + x
-            return -w if c >= k else w
+            return -w if vector else w
 
         combine, cancel = add, neg
-    last = max(c for c, dc in enumerate(comp) if dc)
-    prefixes = [((), 0)]
-    for c in range(last):
-        part = [(e, weigh(c, e)) for e in _exponents_desc(n, comp[c])]
-        prefixes = [(m + e, combine(w, we)) for m, w in prefixes for e, we in part]
-    lookup: dict = {}
-    for e in _exponents_desc(n, comp[last]):
-        lookup.setdefault(cancel(weigh(last, e)), []).append(e)
-    tail = (0,) * (n * (len(comp) - last - 1))
-    return [m + e + tail for m, w in prefixes for e in lookup.get(w, ())]
-
-
-def _variable_map(sig: SpaceSignature, elem: GroupElement):
-    """How elem moves monomials when its substitution (`action.substitution`)
-    rewrites every variable to a multiple of one variable; else None.
-
-    Returns (src, neg, powers): the image of m is m read through src,
-    negated when the exponents on the variables in neg have odd sum, and
-    scaled by num^e / den^e for each (variable, num, den) in powers, the
-    variables whose scale is not +-1.
-    """
-    forms = linear_forms(sig, substitution(sig, elem))
-    if any(len(form) != 1 for form in forms):
-        return None
-    src = [0] * sig.num_vars
-    scl = []
-    for v, ((u, s),) in enumerate(forms):
-        src[u] = v
-        scl.append(s)
-    neg = [v for v, s in enumerate(scl) if s < 0]
-    powers = [(v, abs(s).numerator, s.denominator) for v, s in enumerate(scl) if abs(s) != 1]
-    return src, neg, powers
+    weighed = {
+        (dc, vector): [(e, weigh(vector, e)) for e in _copy_exponents(n, dc)]
+        for dc, vector in {(dc, c >= k) for comp in comps for c, dc in enumerate(comp)}
+    }
+    out = []
+    for comp in comps:
+        last = max((c for c, dc in enumerate(comp) if dc), default=0)
+        prefixes = [((), 0)]
+        for c in range(last):
+            part = weighed[comp[c], c >= k]
+            prefixes = [(m + e, combine(w, we)) for m, w in prefixes for e, we in part]
+        lookup: dict = {}
+        for e, we in weighed[comp[last], last >= k]:
+            lookup.setdefault(cancel(we), []).append(e)
+        tail = (0,) * (n * (len(comp) - last - 1))
+        out.append([m + e + tail for m, w in prefixes for e in lookup.get(w, ())])
+    return out
 
 
 def _picker(idx: list):
@@ -451,18 +445,18 @@ def _copy_classes(sig: SpaceSignature, d: int) -> dict:
     return classes
 
 
-def _orbit_kernel(monos: list[Monomial], varmaps: list) -> list[dict]:
+def _orbit_kernel(monos: list[Monomial], moves: list) -> list[dict]:
     """Exact joint kernel of act(g)-id for scaled-permutation elements.
 
-    Such an element sends monomial m to c(m) * s(m) (see _variable_map),
-    so invariance forces a_{s(m)} = c(m) * a_m along every edge.  One walk
-    per orbit gives its first monomial weight 1 and every monomial reached
-    the weight the edge forces; reaching a monomial again with another
-    weight kills the orbit.  Weights stay ints unless a scale is not +-1,
-    and each surviving orbit contributes one basis vector, an integer
-    vector scaled by the lcm of its weights' denominators.
+    Such an element sends monomial m to c(m) * image(m) (its orbit move,
+    see _constraint_table), so invariance forces a_{image(m)} = c(m) * a_m
+    along every edge.  One walk per orbit gives its first monomial weight
+    1 and every monomial reached the weight the edge forces; reaching a
+    monomial again with another weight kills the orbit.  Weights stay
+    ints unless a scale is not +-1, and each surviving orbit contributes
+    one basis vector, an integer vector scaled by the lcm of its weights'
+    denominators.
     """
-    moves = [(_picker(src), _picker(neg), powers) for src, neg, powers in varmaps]
     weight: dict = {}
     basis = []
     for first in monos:
@@ -512,26 +506,56 @@ def _derive(moves: list, v: dict) -> dict:
     return {m: t for m, t in acc.items() if t}
 
 
-def _cut_rows(ctx: ActionContext, elem: GroupElement):
-    """The map v -> row of elem's cut: D v when elem has a derivation D
-    (`action.derivation`), whose kernel is the space elem fixes, and
-    act(elem, v) - v otherwise.
-
-    D is taken times the lcm of its forms' denominators: every row of a
-    cut shares that scale, so the relations among the rows are D's own.
+def _constraint_table(sig: SpaceSignature, elems: tuple) -> tuple:
+    """How each of elems is imposed, in list order, as (kind, payload),
+    the kind read off g.  "orbit": g is a scaled permutation, and the
+    payload (image, negated, powers) moves monomial m to image(m), negated
+    when the exponents negated(m) picks have odd sum and scaled by
+    num^e / den^e for each (variable, num, den) in powers.  "derive":
+    (g - 1)^2 = 0 with g != 1, and the payload is D as `_derive` moves:
+    each variable's form under the substitution of g - 1 (N^T on covector
+    copies, g^-1 - 1 = -N on vector copies), times the lcm of the forms'
+    denominators; every row of a cut shares that scale, so the relations
+    are D's own.  "act": any other element, the payload itself.
     """
-    forms = derivation(ctx.sig, elem)
-    if forms is None:
+    one = Matrix.identity(sig.n)
+    table = []
+    for elem in elems:
+        subst = substitution(sig, elem)
+        if all(sum(map(bool, elem.g.row(a))) == 1 for a in range(sig.n)):
+            forms = linear_forms(sig, subst)
+            ensure(all(len(form) == 1 for form in forms), "a scaled permutation mixes variables")
+            scale = [form[0][1] for form in forms]  # variable v goes to scale[v] * x_u
+            src = sorted(range(len(forms)), key=lambda v: forms[v][0][0])  # image[u] = m[v]
+            neg = [v for v, s in enumerate(scale) if s < 0]
+            powers = tuple((v, abs(s).numerator, s.denominator) for v, s in enumerate(scale) if abs(s) != 1)
+            table.append(("orbit", (_picker(src), _picker(neg), powers)))
+            continue
+        nil = elem.g - one
+        if not any((nil @ nil).entries):
+            _, forms = integer_forms(linear_forms(sig, {c: mat - one for c, mat in subst.items()}))
+            table.append(("derive", tuple((x, form) for x, form in enumerate(forms) if form)))
+        else:
+            table.append(("act", elem))
+    return tuple(table)
 
-        def row(v):
-            w = dict(act(ctx, elem, Polynomial(ctx.sig, v)).terms)
-            add_scaled(w, -1, v)
-            return w
 
-        return row
-    _, forms = integer_forms(forms)
-    moves = [(x, form) for x, form in enumerate(forms) if form]
-    return lambda v: _derive(moves, v)
+_TABLES: dict = {}  # the classical families' compiled tables, by (signature, element list)
+
+
+def _cut_rows(ctx: ActionContext, cut: tuple):
+    """v -> the row of a "derive" or "act" entry of the constraint table:
+    D v, whose kernel is the space the element fixes, or act(elem, v) - v."""
+    kind, payload = cut
+    if kind == "derive":
+        return lambda v: _derive(payload, v)
+
+    def row(v):
+        w = dict(act(ctx, payload, Polynomial(ctx.sig, v)).terms)
+        add_scaled(w, -1, v)
+        return w
+
+    return row
 
 
 def _generic_cut(rows, vectors: list[dict]) -> list[dict]:
@@ -595,26 +619,23 @@ def invariant_subspace_basis(
 
     history = [space_dimension(sig, d)]
 
-    elems = small_integer_elements(spec)
-    mono_elems = []
-    generic_elems = []
-    for e in elems:
-        vm = _variable_map(sig, e)
-        if vm is None:
-            generic_elems.append(e)
-        else:
-            mono_elems.append(vm)
+    elems = tuple(small_integer_elements(spec))
+    # a finite group's list rests on a closure callers may clear
+    table = _constraint_table(sig, elems) if spec.family == "finite" else _TABLES.get((sig, elems))
+    if table is None:
+        table = _TABLES[sig, elems] = _constraint_table(sig, elems)
+    moves = [payload for kind, payload in table if kind == "orbit"]
 
     # a finite group's generators may hold no scaled permutation: every
     # monomial is then its own orbit and the cuts do all the work
     block_bases = [
-        _orbit_kernel(_weight_zero_monomials(spec.family, sig, rep), mono_elems) for rep in reps
+        _orbit_kernel(monos, moves) for monos in _weight_zero_monomials(spec.family, sig, reps)
     ]
     dim = weighted_dim(block_bases)
     ensure(dim <= history[-1], f"the orbit stage grew the kernel to {dim}")
     history.append(dim)
 
-    for rows in [_cut_rows(ctx, e) for e in generic_elems]:
+    for rows in [_cut_rows(ctx, cut) for cut in table if cut[0] != "orbit"]:
         block_bases = [_generic_cut(rows, vecs) for vecs in block_bases]
         new_dim = weighted_dim(block_bases)
         ensure(new_dim <= dim, f"a cut grew the kernel from {dim} to {new_dim}")

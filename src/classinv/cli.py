@@ -65,9 +65,13 @@ class CliError(ValueError):
 # session assembly
 
 
-def read_matrix_file(path: str) -> list[Matrix]:
+def read_matrix_file(path: str, bit_cap: int = DEFAULT_DIM_CAP) -> list[Matrix]:
     """One matrix per block: rows of space-separated rationals, matrices
-    separated by blank lines."""
+    separated by blank lines.
+
+    An entry whose digits and exponent give it more than bit_cap bits is
+    refused before `Fraction` expands it: 1e99999999 has about 3.3e8.
+    """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     mats = []
@@ -81,10 +85,18 @@ def read_matrix_file(path: str) -> list[Matrix]:
             continue
         row = []
         for tok in line.split():
+            mantissa, _, exp = tok.lower().partition("e")
             try:
-                row.append(Fraction(tok))
+                # a decimal digit or a power of ten is log2(10) < 3.322 bits
+                bits = (sum(map(str.isdigit, mantissa)) + abs(int(exp or 0))) * 3322 // 1000
+                entry = Fraction(tok) if bits <= bit_cap else None
             except (ValueError, ZeroDivisionError):
-                raise CliError(f"bad matrix entry {tok!r} in {path}") from None
+                raise CliError(f"bad matrix entry {tok[:40]!r} in {path}") from None
+            if entry is None:
+                raise CliError(
+                    f"matrix entry {tok[:40]!r} in {path} has about {bits} bits, above the cap {bit_cap}"
+                )
+            row.append(entry)
         block.append(row)
     if not mats:
         raise CliError(f"no matrices found in {path}")
@@ -110,7 +122,7 @@ def make_session(args) -> tuple[GroupSpec, SpaceSignature]:
     if args.group == "finite":
         if not args.group_file:
             raise CliError("--group-file is required for finite groups")
-        mats = read_matrix_file(args.group_file)
+        mats = read_matrix_file(args.group_file, args.dim_cap)
         n = mats[0].rows
         if args.n is not None and args.n != n:
             raise CliError(

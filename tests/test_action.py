@@ -258,7 +258,7 @@ class TestExactAgainstSampled:
         y = Polynomial.variable(ctx.sig, VarKind.VECTOR, 1, 2)
         f = x**4 + y**4
         moved = [e for e in small_integer_elements(ctx.spec) if act(ctx, e, f) != f]
-        assert [certify._variable_map(ctx.sig, e) for e in moved] == [None]
+        assert [kind for kind, _ in certify._constraint_table(ctx.sig, tuple(moved))] == ["act"]
         assert not is_invariant(ctx, f)
 
     @pytest.mark.parametrize(
@@ -273,21 +273,21 @@ class TestExactAgainstSampled:
         # a vector the orbit stage and every cut but the last one keep
         ctx = ActionContext(spec, sig)
         elems = small_integer_elements(spec)
-        maps = [certify._variable_map(sig, e) for e in elems]
-        generic = [e for e, vm in zip(elems, maps) if vm is None]
+        table = certify._constraint_table(sig, tuple(elems))
+        moves = [move for kind, move in table if kind == "orbit"]
+        generic = [(e, cut) for e, cut in zip(elems, table) if cut[0] != "orbit"]
+        last = generic[-1][0]
         moved = None
         for comp in _exponents_desc(sig.num_copies, d):
-            vecs = certify._orbit_kernel(
-                certify._block_monomials(sig, comp), [vm for vm in maps if vm is not None]
-            )
-            for e in generic[:-1]:
-                vecs = certify._generic_cut(certify._cut_rows(ctx, e), vecs)
+            vecs = certify._orbit_kernel(certify._block_monomials(sig, comp), moves)
+            for _, cut in generic[:-1]:
+                vecs = certify._generic_cut(certify._cut_rows(ctx, cut), vecs)
             moved = moved or next(
-                (f for f in (Polynomial(sig, v) for v in vecs) if act(ctx, generic[-1], f) != f),
+                (f for f in (Polynomial(sig, v) for v in vecs) if act(ctx, last, f) != f),
                 None,
             )
         assert moved is not None
-        assert [e for e in elems if act(ctx, e, moved) != moved] == [generic[-1]]
+        assert [e for e in elems if act(ctx, e, moved) != moved] == [last]
         assert not is_invariant(ctx, moved)
 
 
@@ -295,16 +295,17 @@ SIGNED_3_CYCLE = [[0, 0, 1], [1, 0, 0], [0, -1, 0]]
 
 
 class TestVariableMap:
-    """The kernel's monomial moves (certify._variable_map) against act,
-    one monomial at a time, on every element the map applies to."""
+    """The kernel's monomial moves (the "orbit" entries of
+    certify._constraint_table) against act, one monomial at a time, on
+    every element compiled to one."""
 
     @staticmethod
-    def mapped(vm, mono):
-        src, neg, powers = vm
-        c = Fraction(-1 if sum(mono[v] for v in neg) % 2 else 1)
+    def mapped(move, mono):
+        image, negated, powers = move
+        c = Fraction(-1 if sum(negated(mono)) % 2 else 1)
         for v, num, den in powers:
             c *= Fraction(num, den) ** mono[v]
-        return {tuple(mono[u] for u in src): c}
+        return {image(mono): c}
 
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize(
@@ -317,15 +318,15 @@ class TestVariableMap:
         ctx = ActionContext(spec, sig)
         # every element of the finite group, not only its generator
         elems = group_elements(spec) if spec.family == "finite" else small_integer_elements(spec)
-        maps = [(e, certify._variable_map(sig, e)) for e in elems]
-        maps = [(e, vm) for e, vm in maps if vm is not None]
+        table = certify._constraint_table(sig, tuple(elems))
+        maps = [(e, move) for e, (kind, move) in zip(elems, table) if kind == "orbit"]
         if spec.family == "finite":
             assert len(maps) == len(elems) == 6  # g^3 = -1
         assert maps
-        for e, vm in maps:
+        for e, move in maps:
             for mono in monomial_basis(sig, 3):
                 expected = act(ctx, e, Polynomial(sig, {mono: ONE})).terms
-                assert self.mapped(vm, mono) == expected, (e.g, mono)
+                assert self.mapped(move, mono) == expected, (e.g, mono)
 
 
 class TestExactCoefficients:

@@ -488,6 +488,31 @@ class TestFiniteGroups:
         assert code == 1
         assert "infinite order" in err
 
+    @pytest.mark.parametrize(
+        "text,cap",
+        [
+            ("1e99999999\n", None),
+            ("1e-99999999\n", None),
+            ("1 0\n0 2.5e-99999999\n", None),
+            ("1e300 0\n0 1\n", "900"),
+        ],
+        ids=["1e99999999", "1e-99999999", "decimal", "1e300-cap-900"],
+    )
+    def test_huge_entry_refused_before_it_is_built(self, capsys, tmp_path, text, cap):
+        # Fraction would expand the exponent in full; --dim-cap bounds the
+        # bits of a matrix entry as it bounds an --expr coefficient's
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        started = time.monotonic()
+        code, _, err = run(
+            capsys,
+            "check", "--group", "finite", "--group-file", str(path),
+            "--vectors", "1", "--expr", "x[1,1]", *(["--dim-cap", cap] if cap else []),
+        )
+        assert time.monotonic() - started < 1
+        assert code == 1
+        assert f"bits, above the cap {cap or 200000}" in err
+
     # kernels and check impose only the generators, so the closure that
     # proves the group finite must still run before any of them
     @pytest.mark.parametrize(

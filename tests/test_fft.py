@@ -320,16 +320,17 @@ class TestOrbitStage:
     def test_orbit_kernel_matches_dense_cuts(self, spec, k, m, d):
         sig = SpaceSignature(n=spec.n, k=k, m=m)
         ctx = ActionContext(spec, sig)
-        pairs = [(e, certify._variable_map(sig, e)) for e in small_integer_elements(spec)]
-        pairs = [(e, vm) for e, vm in pairs if vm is not None]
+        elems = small_integer_elements(spec)
+        table = certify._constraint_table(sig, tuple(elems))
+        pairs = [(e, move) for e, (kind, move) in zip(elems, table) if kind == "orbit"]
         assert pairs
         total = 0
         for comp in _exponents_desc(sig.num_copies, d):
             monos = certify._block_monomials(sig, comp)
-            orbit = certify._orbit_kernel(monos, [vm for _, vm in pairs])
+            orbit = certify._orbit_kernel(monos, [move for _, move in pairs])
             dense = [{mono: ONE} for mono in monos]
             for e, _ in pairs:
-                dense = certify._generic_cut(certify._cut_rows(ctx, e), dense)
+                dense = certify._generic_cut(certify._cut_rows(ctx, ("act", e)), dense)
             assert self.canonical(orbit, monos) == self.canonical(dense, monos)
             total += len(orbit)
         assert total <= space_dimension(sig, d)
@@ -343,15 +344,15 @@ class TestCopyClasses:
     @staticmethod
     def direct_blocks(spec, sig, d):
         ctx = ActionContext(spec, sig)
-        maps = [(e, certify._variable_map(sig, e)) for e in small_integer_elements(spec)]
-        orbit_maps = [vm for _, vm in maps if vm is not None]
+        table = certify._constraint_table(sig, tuple(small_integer_elements(spec)))
+        moves = [move for kind, move in table if kind == "orbit"]
         out = {}
         for comp in _exponents_desc(sig.num_copies, d):
             monos = certify._block_monomials(sig, comp)
-            vecs = certify._orbit_kernel(monos, orbit_maps)
-            for e, vm in maps:
-                if vm is None:
-                    vecs = certify._generic_cut(certify._cut_rows(ctx, e), vecs)
+            vecs = certify._orbit_kernel(monos, moves)
+            for cut in table:
+                if cut[0] != "orbit":
+                    vecs = certify._generic_cut(certify._cut_rows(ctx, cut), vecs)
             reduced, _ = rref([[v.get(m, 0) for m in monos] for v in vecs])
             out[comp] = [Polynomial(sig, dict(zip(monos, r))) for r in reduced]
         return out
@@ -475,9 +476,10 @@ class TestWeightZero:
             blocks: dict = {}
             for mono in monomial_basis(sig, d):
                 blocks.setdefault(sig.copy_degrees(mono), []).append(mono)
-            for comp in _exponents_desc(sig.num_copies, d):
+            comps = list(_exponents_desc(sig.num_copies, d))
+            # one call weighs every block of the degree
+            for comp, kept in zip(comps, certify._weight_zero_monomials(spec.family, sig, comps)):
                 block = blocks.get(comp, [])
-                kept = certify._weight_zero_monomials(spec.family, sig, comp)
                 assert kept == [mono for mono in block if self.weight_zero(spec.family, sig, mono)]
                 kept_set = set(kept)
                 for mono in block:

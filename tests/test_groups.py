@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from classinv import groups
-from classinv.certify import _variable_map, invariant_subspace_basis
+from classinv.certify import _constraint_table, invariant_subspace_basis
 from classinv.exact import Echelon, Matrix, SingularMatrixError
 from classinv.groups import (
     ClosureCapExceeded,
@@ -312,15 +312,15 @@ def _lie_closure_dim(spec: GroupSpec) -> int:
     els = small_integer_elements(spec)
     weyl, queue = [], []  # queue starts with the one-parameter directions
     sig = SpaceSignature(n, 0, 1)  # one vector copy: g^-1 moves the variables
-    for el in els:
-        perm = _variable_map(sig, el)
-        if perm is not None:
+    for el, (kind, payload) in zip(els, _constraint_table(sig, tuple(els))):
+        if kind == "orbit":
             # a Weyl or torus element, no direction of its own
-            if not perm[2]:  # no scale other than +-1
+            if not payload[2]:  # no scale other than +-1
                 weyl.append(el)
             continue
         x = el.g - eye
-        if x @ x == mat([[0] * n] * n):
+        if kind == "derive":
+            assert x @ x == mat([[0] * n] * n)
             queue.append(x)  # unipotent: g = exp(g - I)
         else:
             # the 3-4-5 rotation: not unipotent, and its log is an

@@ -74,8 +74,9 @@ def test_scaled_permutation_orbit_is_scaled_to_integers():
     g = Matrix.from_rows([[0, 2], [Fraction(1, 2), 0]])
     sig = SpaceSignature(2, 0, 1)
     (elem,) = certify.small_integer_elements(finite_group([g]))
-    varmap = certify._variable_map(sig, elem)
-    basis = certify._orbit_kernel([(2, 0), (0, 2)], [varmap])
+    ((kind, move),) = certify._constraint_table(sig, (elem,))
+    assert kind == "orbit"
+    basis = certify._orbit_kernel([(2, 0), (0, 2)], [move])
     assert len(basis) == 1
     (v,) = basis
     assert all(type(c) is int for c in v.values())
