@@ -417,31 +417,36 @@ def _picker(idx: list):
     return itemgetter(*idx) if len(idx) > 1 else lambda m: tuple([m[v] for v in idx])
 
 
-def _copy_class(sig: SpaceSignature, comp: tuple):
-    """The representative of a block's copy-permutation class, and the
-    relabelling that carries the representative's monomials onto the block.
+def _relabelling(sig: SpaceSignature, block: tuple):
+    """The relabelling that carries the monomials of the block's class
+    representative (see _copy_classes) onto the block.
 
-    The representative lists the covector degrees, then the vector
-    degrees, each sorted descending.  Copy order[i] of the block takes
-    the coordinates of copy i of the representative.
+    Copy order[i] of the block takes the coordinates of copy i of the
+    representative, where order lists the covector copies, then the
+    vector copies, each by descending degree.
     """
     n, k = sig.n, sig.k
-    order = sorted(range(k), key=lambda c: -comp[c])
-    order += sorted(range(k, sig.num_copies), key=lambda c: -comp[c])
+    order = sorted(range(k), key=lambda c: -block[c])
+    order += sorted(range(k, sig.num_copies), key=lambda c: -block[c])
     src = [0] * sig.num_vars
     for i, c in enumerate(order):
         src[c * n : (c + 1) * n] = range(i * n, (i + 1) * n)
-    return tuple(comp[c] for c in order), _picker(src)
+    return _picker(src)
 
 
 def _copy_classes(sig: SpaceSignature, d: int) -> dict:
     """The blocks of degree d by copy-permutation class: each
-    representative (see _copy_class) with the relabellings onto its
-    blocks, one per block."""
+    representative with the blocks of its class.
+
+    The representative lists the covector degrees, then the vector
+    degrees, each sorted descending.  Only the blocks of a class whose
+    kernel survives need their relabellings (see _relabelling).
+    """
+    k = sig.k
     classes: dict = {}
-    for comp in _exponents_desc(sig.num_copies, d):
-        rep, relabel = _copy_class(sig, comp)
-        classes.setdefault(rep, []).append(relabel)
+    for block in _exponents_desc(sig.num_copies, d):
+        rep = (*sorted(block[:k], reverse=True), *sorted(block[k:], reverse=True))
+        classes.setdefault(rep, []).append(block)
     return classes
 
 
@@ -646,7 +651,8 @@ def invariant_subspace_basis(
     for rep, vecs in zip(reps, block_bases):
         if not vecs:
             continue
-        for relabel in classes[rep]:
+        for block in classes[rep]:
+            relabel = _relabelling(sig, block)
             moved = [{relabel(m): c for m, c in v.items()} for v in vecs]
             # the block order restricted to the monomials in use: the
             # columns left out are zero, so the reduced form is the same
@@ -813,7 +819,7 @@ def decompose_in_generators(
         if not is_invariant(ActionContext(spec, sig), f):
             raise NotInvariant("polynomial is moved by a group element")
         # only a defect gets here: f is invariant and the FFT holds
-        sizes = {rep: len(relabels) for rep, relabels in _copy_classes(sig, d).items()}
+        sizes = {rep: len(blocks) for rep, blocks in _copy_classes(sig, d).items()}
         dim_span = sum(size * rank for _, size, rank in _class_spans(spec, sig, d, sizes))
         raise NotInSpan(Polynomial(sig, residual), dim_span)
     terms = tuple(

@@ -38,6 +38,7 @@ from .expr import (
     combination_terms,
     format_generator_combination,
     format_polynomial,
+    literal_digit_limit,
     parse_expression,
     polynomial_terms,
 )
@@ -71,9 +72,12 @@ def read_matrix_file(path: str, bit_cap: int = DEFAULT_DIM_CAP) -> list[Matrix]:
 
     An entry whose digits and exponent give it more than bit_cap bits is
     refused before `Fraction` expands it: 1e99999999 has about 3.3e8.
+    So is an entry with a number longer than Python's digit limit of
+    integer conversion, before `int` or `Fraction` reads it.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
+    limit = literal_digit_limit()
     mats = []
     block: list[list[Fraction]] = []
     for raw in text.splitlines() + [""]:
@@ -86,6 +90,15 @@ def read_matrix_file(path: str, bit_cap: int = DEFAULT_DIM_CAP) -> list[Matrix]:
         row = []
         for tok in line.split():
             mantissa, _, exp = tok.lower().partition("e")
+            # Fraction reads the numerator, the denominator or the
+            # decimals, and the exponent each as one integer
+            parts = (*mantissa.replace("/", ".").split("."), exp)
+            digits = max(sum(map(str.isdigit, part)) for part in parts)
+            if limit and digits > limit:
+                raise CliError(
+                    f"matrix entry {tok[:40]!r} in {path} has a number of {digits} digits, "
+                    f"longer than the {limit}-digit limit of integer conversion"
+                )
             try:
                 # a decimal digit or a power of ten is log2(10) < 3.322 bits
                 bits = (sum(map(str.isdigit, mantissa)) + abs(int(exp or 0))) * 3322 // 1000

@@ -53,9 +53,11 @@ def _as_fraction(x) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense matrix over Q, row-major entries."""
+    """Immutable dense matrix over Q, row-major entries.  Its hash is
+    computed on first use and kept: most matrices, such as the elements
+    of a closure and their inverses, are never hashed."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Fraction]):
         entries = tuple(_as_fraction(e) for e in entries)
@@ -66,6 +68,7 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -102,7 +105,11 @@ class Matrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        h = self._hash
+        if h is None:
+            h = hash((self.rows, self.cols, self.entries))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:

@@ -22,6 +22,7 @@ are checked against the dimension cap.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .certify import SHORTHAND, GeneratorCombination, GeneratorId, contraction
@@ -41,8 +42,16 @@ class ExprSyntaxError(ValueError):
 _SYMBOLS = set("+-*^/()[],")
 
 
+def literal_digit_limit() -> int:
+    """Python's limit on the digits of an integer read from a string,
+    0 when there is none (before Python 3.10.7)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens = []
+    limit = literal_digit_limit()
     i = 0
     size = len(text)
     while i < size:
@@ -54,6 +63,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             start = i
             while i < size and text[i].isdigit():
                 i += 1
+            if limit and i - start > limit:
+                raise ExprSyntaxError(
+                    f"a literal of {i - start} digits is longer than the "
+                    f"{limit}-digit limit of integer conversion",
+                    start,
+                )
             tokens.append(("int", int(text[start:i]), start))
             continue
         if ch.isalpha():

@@ -3,7 +3,10 @@
 Supported families: the general linear group of an n-dimensional space,
 the orthogonal group of the standard symmetric form, the symplectic
 group of the standard alternating form (n even), and finite groups given
-by a list of generating matrices.
+by a list of generating matrices.  A finite group is closed by a
+breadth-first search over integer numerators with one common denominator
+per element, so the search multiplies no `Fraction`; the elements are
+handed out as `Matrix` objects.
 
 The library decides everything with the fixed exact elements of
 `small_integer_elements`.  The seeded samplers serve the tests only, as
@@ -19,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import mul
 from random import Random
 
 from .exact import Matrix, ONE, ZERO, SingularMatrixError, ensure
@@ -216,6 +221,14 @@ def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> list[Matrix]:
     is diagonalizable, so with trace n every eigenvalue is 1 and it is
     the identity.  A unipotent generator such as a shear is refused on
     its first power.
+
+    The search runs on integers.  Each element is kept as the key
+    (numerators, q): the matrix is numerators / q, with q > 0 and
+    gcd(q, *numerators) == 1, so equal matrices get equal keys.  A
+    product of keys is divided by the gcd of its numerators and its q,
+    and its trace t / q passes when q divides t and -n q <= t < n q.
+    One Matrix per element is built at the end, each distinct entry
+    made into a Fraction once.
     """
     gens = list(generators)
     if not gens:
@@ -226,27 +239,51 @@ def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> list[Matrix]:
             raise ValueError("generators must share one size")
         if not g.is_invertible():
             raise ValueError("generators must be invertible")
-    ident = Matrix.identity(n)
+    steps = []  # (columns of the numerators, q) per generator
+    for g in gens:
+        q = lcm(*(e.denominator for e in g.entries))
+        nums = [e.numerator * (q // e.denominator) for e in g.entries]
+        steps.append(([nums[j::n] for j in range(n)], q))
+    ident = (tuple(int(i == j) for i in range(n) for j in range(n)), 1)
     seen = {ident}
     order = [ident]
     frontier = [ident]
+    starts = range(0, n * n, n)
     while frontier:
         nxt = []
-        for h in frontier:
-            for g in gens:
-                p = h @ g
-                if p not in seen:
-                    trace = sum(p.entries[:: n + 1])
-                    if trace.denominator != 1 or not -n <= trace < n:
+        for nums, q in frontier:
+            rows = [nums[i : i + n] for i in starts]
+            for cols, gq in steps:
+                p = tuple([sum(map(mul, r, c)) for r in rows for c in cols])
+                pq = q * gq
+                if pq != 1:
+                    common = gcd(pq, *p)
+                    if common != 1:
+                        p = tuple([x // common for x in p])
+                        pq //= common
+                key = (p, pq)
+                if key not in seen:
+                    t = sum(p[:: n + 1])
+                    if t % pq or not -n * pq <= t < n * pq:
                         # the trace itself may be too long to print
                         raise NotFiniteGroup("the generators generate an element of infinite order")
                     if len(seen) >= cap:
                         raise ClosureCapExceeded(cap)
-                    seen.add(p)
-                    order.append(p)
-                    nxt.append(p)
+                    seen.add(key)
+                    order.append(key)
+                    nxt.append(key)
         frontier = nxt
-    return order
+    made: dict = {}  # (numerator, q) -> Fraction
+    out = []
+    for nums, q in order:
+        entries = []
+        for x in nums:
+            f = made.get((x, q))
+            if f is None:
+                f = made[x, q] = Fraction(x, q)
+            entries.append(f)
+        out.append(Matrix(n, n, entries))
+    return out
 
 
 @lru_cache(maxsize=None)

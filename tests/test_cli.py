@@ -150,6 +150,16 @@ class TestCheck:
         assert "error:" in err
         assert "at byte" in err
 
+    def test_literal_longer_than_the_digit_limit_refused(self, capsys):
+        code, _, err = run(
+            capsys,
+            "check", "--group", "o", "--n", "2", "--vectors", "1",
+            "--expr", f"x[1,2] + 1{'0' * 5000}*x[1,1]",
+        )
+        assert code == 1
+        assert "5001 digits" in err and "4300-digit limit" in err
+        assert "(at byte 9)" in err and "Exceeds the limit" not in err
+
     def test_wrong_shorthand_family(self, capsys):
         code, _, err = run(
             capsys,
@@ -512,6 +522,20 @@ class TestFiniteGroups:
         assert time.monotonic() - started < 1
         assert code == 1
         assert f"bits, above the cap {cap or 200000}" in err
+
+    def test_entry_longer_than_the_digit_limit_refused(self, capsys, tmp_path):
+        # Python refuses to read an integer of more than 4300 digits; the
+        # file is refused with a message of our own that names the limit
+        path = tmp_path / "long.txt"
+        path.write_text(f"1{'0' * 5000} 0\n0 1\n")
+        code, _, err = run(
+            capsys,
+            "check", "--group", "finite", "--group-file", str(path),
+            "--vectors", "1", "--expr", "x[1,1]",
+        )
+        assert code == 1
+        assert "5001 digits" in err and "4300-digit limit" in err
+        assert str(path) in err and "Exceeds the limit" not in err
 
     # kernels and check impose only the generators, so the closure that
     # proves the group finite must still run before any of them

@@ -165,3 +165,26 @@ def test_matrix_add_commutes(r0, r1):
     b = Matrix.from_rows([r1, r0])
     assert a + b == b + a
     assert (a + b) - b == a
+
+
+class TestMatrixHash:
+    @given(st.lists(st.integers(-(2**70), 2**70), min_size=4, max_size=4))
+    def test_equal_matrices_from_ints_and_fractions_hash_equal(self, xs):
+        from_ints = Matrix(2, 2, xs)
+        from_fractions = Matrix(2, 2, [Fraction(2 * x, 2) for x in xs])
+        assert from_ints == from_fractions
+        assert hash(from_ints) == hash(from_fractions) == hash(from_ints)
+
+    def test_hash_matches_the_entries(self):
+        m = mat([[Fraction(1, 2), 0], [3, Fraction(-7, 3)]])
+        assert hash(m) == hash((2, 2, m.entries))
+        assert len({m, mat([[Fraction(1, 2), 0], [3, Fraction(-7, 3)]])}) == 1
+
+    @pytest.mark.parametrize("name", ["rows", "cols", "entries", "_hash", "other"])
+    def test_immutable_before_and_after_hashing(self, name):
+        m = mat([[1, 2], [3, 4]])
+        for _ in range(2):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+            hash(m)
+        assert m == mat([[1, 2], [3, 4]])

@@ -263,7 +263,7 @@ class TestSmallIntegerElements:
         assert first == second and first is not second
 
     def test_finite_lists_rest_on_the_closure_each_time(self, monkeypatch):
-        # clearing the closure cache makes the next call close the group
+        # clearing the closure caches makes the next call close the group
         # again, as a fresh process does
         calls = []
         closure = groups.finite_closure
@@ -273,6 +273,11 @@ class TestSmallIntegerElements:
             groups.group_elements_matrices.cache_clear()
             assert [e.g for e in small_integer_elements(spec)] == list(spec.generators)
         assert len(calls) == 2
+        for _ in range(2):
+            groups.group_elements.cache_clear()
+            groups.group_elements_matrices.cache_clear()
+            assert [e.g for e in group_elements(spec)] == [Matrix.identity(2), spec.generators[0]]
+        assert len(calls) == 4
 
     @pytest.mark.parametrize(
         "spec,order",
