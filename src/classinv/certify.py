@@ -54,8 +54,14 @@ representative block and weights each rank by its class size
 (`_class_spans`), and `decompose_in_generators` expands only the
 products in the blocks of f's monomials.
 Each block is then put in reduced echelon form over the monomials its
-vectors use; that form is unique for the space, so the basis does not
-depend on which block was computed.
+vectors use; that form is unique for the space and the monomial order,
+so the basis does not depend on which block was computed.  Blocks of a
+class that visit the representative's positive-degree copies in one
+order (one pattern) pull the lex order back to one order on the
+representative's monomials, because a zero-degree copy holds only the
+zero exponent and never decides a comparison.  So `rref` runs once per
+class and pattern, in representative coordinates, and each block of
+the pattern relabels its rows term by term.
 
 For a classical family the orbit walk starts only from the monomials of
 weight zero for the diagonal torus, generated directly rather than
@@ -84,8 +90,9 @@ integer vector is one, the relations are primitive integer combinations,
 and the product span multiplies the contractions' integer coefficients.
 Only a cut through `act` (the 3-4-5 rotation, a finite group's
 generators) makes rational rows, which `Echelon` scales to integers as
-it inserts them.  A ``Fraction`` is made once, when `rref` puts each
-block in reduced echelon form.
+it inserts them.  A ``Fraction`` is made once, when `rref` puts a
+class's pattern in reduced echelon form, and every block of the pattern
+shares it.
 """
 
 from __future__ import annotations
@@ -418,20 +425,26 @@ def _picker(idx: list):
 
 
 def _relabelling(sig: SpaceSignature, block: tuple):
-    """The relabelling that carries the monomials of the block's class
-    representative (see _copy_classes) onto the block.
+    """(pattern, relabel): relabel carries the monomials of the block's
+    class representative (see _copy_classes) onto the block, and pattern
+    lists the representative's positive-degree copies in the order the
+    block visits them.
 
     Copy order[i] of the block takes the coordinates of copy i of the
     representative, where order lists the covector copies, then the
-    vector copies, each by descending degree.
+    vector copies, each by descending degree.  Blocks of one pattern
+    pull the lex order back to one order on the representative's
+    monomials (see the module docstring).
     """
     n, k = sig.n, sig.k
     order = sorted(range(k), key=lambda c: -block[c])
     order += sorted(range(k, sig.num_copies), key=lambda c: -block[c])
     src = [0] * sig.num_vars
+    at = [0] * sig.num_copies
     for i, c in enumerate(order):
         src[c * n : (c + 1) * n] = range(i * n, (i + 1) * n)
-    return _picker(src)
+        at[c] = i
+    return tuple(at[c] for c, dc in enumerate(block) if dc), _picker(src)
 
 
 def _copy_classes(sig: SpaceSignature, d: int) -> dict:
@@ -651,17 +664,25 @@ def invariant_subspace_basis(
     for rep, vecs in zip(reps, block_bases):
         if not vecs:
             continue
+        used = {m for v in vecs for m in v}
+        forms: dict = {}  # pattern -> the reduced rows as (monomial, Fraction) pairs
         for block in classes[rep]:
-            relabel = _relabelling(sig, block)
-            moved = [{relabel(m): c for m, c in v.items()} for v in vecs]
-            # the block order restricted to the monomials in use: the
-            # columns left out are zero, so the reduced form is the same
-            monos = sorted({m for v in moved for m in v}, reverse=True)
-            reduced, pivots = rref([[v.get(m, 0) for m in monos] for v in moved])
-            ensure(len(pivots) == len(vecs), "a block basis lost rank in canonical form")
-            for r in reduced:
-                polys.append(Polynomial(sig, {m: c for m, c in zip(monos, r) if c}))
-    polys.sort(key=lambda p: grlex_key(p.leading_monomial()), reverse=True)
+            pattern, relabel = _relabelling(sig, block)
+            rows = forms.get(pattern)
+            if rows is None:
+                # the block order restricted to the monomials in use, in
+                # representative coordinates: the columns left out are
+                # zero, and relabelling keeps the order, so the reduced
+                # form is the block's own
+                monos = sorted(used, key=relabel, reverse=True)
+                reduced, pivots = rref([[v.get(m, 0) for m in monos] for v in vecs])
+                ensure(len(pivots) == len(vecs), "a block basis lost rank in canonical form")
+                rows = forms[pattern] = [[(m, c) for m, c in zip(monos, r) if c] for r in reduced]
+            for row in rows:
+                # a row's pivot is its first pair, and its leading monomial
+                polys.append((relabel(row[0][0]), Polynomial(sig, {relabel(m): c for m, c in row})))
+    # every pivot has degree d, where lex order is graded-lex order
+    polys = [p for _, p in sorted(polys, key=itemgetter(0), reverse=True)]
     ensure(len(polys) == dim, f"{len(polys)} canonical vectors, kernel dimension {dim}")
     return KernelResult(
         basis=tuple(polys),

@@ -35,6 +35,7 @@ from .certify import (
 )
 from .exact import Matrix
 from .expr import (
+    coefficient_text,
     combination_terms,
     format_generator_combination,
     format_polynomial,
@@ -169,7 +170,7 @@ def terms_json(items) -> list:
     """A term list of `expr.polynomial_terms` or `expr.combination_terms`
     as JSON objects."""
     return [
-        {"monomial": [[name, e] for name, e in powers], "coeff": str(coeff)}
+        {"monomial": [[name, e] for name, e in powers], "coeff": coefficient_text(coeff)}
         for powers, coeff in items
     ]
 

@@ -17,7 +17,10 @@ session's group family.  Formatting emits graded-lex term order and
 round-trips: parsing a formatted polynomial recovers it exactly.
 Before a product or a power is expanded, the dimension of the degree
 piece it would reach, and the bit length its coefficients would reach,
-are checked against the dimension cap.
+are checked against the dimension cap.  Every sum, the whole expression
+and each parenthesised one, must also have coefficients that print: no
+more bits than the dimension cap and than Python's digit limit of
+integer conversion allows.
 """
 
 from __future__ import annotations
@@ -59,9 +62,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
+            # only ASCII digits: str.isdigit also takes '²', which int refuses
             start = i
-            while i < size and text[i].isdigit():
+            while i < size and "0" <= text[i] <= "9":
                 i += 1
             if limit and i - start > limit:
                 raise ExprSyntaxError(
@@ -93,6 +97,13 @@ class _Parser:
         self.sig = sig
         self.family = family
         self.dim_cap = dim_cap
+        limit = literal_digit_limit()
+        printable = limit * 3321 // 1000  # log2(10) > 3.321 bits per digit
+        if limit and printable < dim_cap:
+            self.sum_cap = printable
+            self.sum_cap_name = f"{printable} bits, the most that print within the {limit}-digit limit of integer conversion"
+        else:
+            self.sum_cap, self.sum_cap_name = dim_cap, f"the cap {dim_cap}"
 
     def _peek(self) -> tuple:
         return self.tokens[self.pos]
@@ -118,11 +129,17 @@ class _Parser:
     def expr(self) -> Polynomial:
         # every term is added into one term map, so a long sum is linear
         total: dict = {}
+        start = self._peek()[2]
         op = self._take()[0] if self._peek()[0] == "-" else "+"
         while True:
             add_scaled(total, ONE if op == "+" else -ONE, self.term().terms)
             if self._peek()[0] not in ("+", "-"):
-                return Polynomial(self.sig, total)
+                result = Polynomial(self.sig, total)
+                # a sum's denominators multiply, so it may pass the cap its terms kept
+                bits = _coefficient_bits(result) if result else 0
+                if bits > self.sum_cap:
+                    raise ExprSyntaxError(f"coefficients reach {bits} bits, above {self.sum_cap_name}", start)
+                return result
             op = self._take()[0]
 
     def term(self) -> Polynomial:
@@ -217,8 +234,12 @@ class _Parser:
         raise ExprSyntaxError(f"unknown name {name!r}", off)
 
 
+def _fraction_bits(c: Fraction) -> int:
+    return max(c.numerator.bit_length(), c.denominator.bit_length())
+
+
 def _coefficient_bits(p: Polynomial) -> int:
-    return max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in p.terms.values())
+    return max(map(_fraction_bits, p.terms.values()))
 
 
 def parse_expression(
@@ -249,6 +270,18 @@ def combination_terms(comb: GeneratorCombination) -> list:
     ]
 
 
+def coefficient_text(c: Fraction) -> str:
+    """str(c), or a ValueError of our own, naming the limit, where
+    Python's digit limit of integer conversion refuses to print it."""
+    try:
+        return str(c)
+    except ValueError:
+        raise ValueError(
+            f"a coefficient of {_fraction_bits(c)} bits has more digits than the "
+            f"{literal_digit_limit()}-digit limit of integer conversion allows; it is not printed"
+        ) from None
+
+
 def _format_terms(items) -> str:
     if not items:
         return "0"
@@ -259,9 +292,9 @@ def _format_terms(items) -> str:
         bits = [name if e == 1 else f"{name}^{e}" for name, e in powers]
         body = "*".join(bits)
         if not body:
-            body = str(mag)
+            body = coefficient_text(mag)
         elif mag != 1:
-            body = f"{mag}*{body}"
+            body = f"{coefficient_text(mag)}*{body}"
         if idx == 0:
             parts.append(f"-{body}" if negative else body)
         else:

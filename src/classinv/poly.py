@@ -33,11 +33,19 @@ class SignatureMismatch(ValueError):
     pass
 
 
+def count_text(count: int) -> str:
+    """A count as a refusal prints it: its digits, or a power of ten it
+    reaches once it has over 300 digits, which Python's digit limit of
+    integer conversion (640 digits at the least) may refuse to print."""
+    bits = count.bit_length()
+    return str(count) if bits <= 1000 else f"at least 10^{(bits - 1) * 30102 // 100000}"
+
+
 class DegreeCapExceeded(ValueError):
     def __init__(self, dim: int, cap: int):
         self.dim = dim
         self.cap = cap
-        super().__init__(f"graded piece has dimension {dim}, above the cap {cap}")
+        super().__init__(f"graded piece has dimension {count_text(dim)}, above the cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -217,9 +225,10 @@ class Polynomial:
         clean: dict = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                if type(coeff) is not Fraction:
+                    coeff = _as_fraction(coeff)
                 if coeff:
-                    clean[tuple(mono)] = coeff
+                    clean[mono if type(mono) is tuple else tuple(mono)] = coeff
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "terms", clean)
 
@@ -379,11 +388,6 @@ class Polynomial:
     def terms_sorted(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in graded-lex order, leading term first."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-
-    def leading_monomial(self) -> Monomial | None:
-        if not self.terms:
-            return None
-        return max(self.terms, key=grlex_key)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -653,6 +653,59 @@ def text_block(stdout: str, key: str) -> list[str]:
     return block
 
 
+A2 = str(Path(__file__).resolve().parents[1] / "perfbench" / "groups" / "a2.txt")
+
+
+class TestDigitLimit:
+    """No command prints Python's own text for an integer past its digit
+    limit of integer conversion (4300 digits by default): the input is
+    refused at its byte offset, and an output or a count past it in
+    words of our own."""
+
+    @pytest.mark.parametrize("expr,offset", [("²", 0), ("3²", 1)])
+    def test_non_ascii_digit(self, capsys, expr, offset):
+        code, out, err = run(capsys, "check", "--group", "o", "--n", "2", "--vectors", "1", "--expr", expr)
+        assert (code, out) == (1, "")
+        assert f"unexpected character '²' (at byte {offset})" in err
+        assert "invalid literal" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--group", "o", "--n", "2", "--vectors", "1", "--expr", "2^15000*x[1,1]"),
+            ("decompose", "--group", "o", "--n", "2", "--vectors", "1", "--expr", "2^15000*s(1,1)"),
+            ("reynolds", "--group", "finite", "--group-file", A2, "--vectors", "1",
+             "--expr", "2^15000*x[1,1]^2"),
+        ],
+        ids=["check", "decompose", "reynolds"],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_coefficient_past_the_limit_refused_at_its_offset(self, capsys, argv, fmt):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert "15001 bits, above 14280 bits" in err and "4300-digit limit" in err
+        assert "(at byte 0)" in err and "Exceeds the limit" not in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_output_past_the_limit_refused(self, capsys, fmt):
+        # the input prints, but (x[1,1] - x[1,2])^20 under a2 adds binomial
+        # coefficients to it
+        code, out, err = run(
+            capsys, "reynolds", "--group", "finite", "--group-file", A2, "--vectors", "1",
+            "--expr", "2^14279*x[1,1]^20", "--format", fmt,
+        )
+        assert (code, out) == (1, "")
+        assert "bits has more digits than the 4300-digit limit" in err
+        assert "Exceeds the limit" not in err
+
+    @pytest.mark.parametrize("command", ["fft-verify", "basis"])
+    def test_huge_graded_piece(self, capsys, command):
+        code, out, err = run(capsys, command, "--group", "o", "--n", "1000", "--vectors", "1000",
+                             "--degree", "3000")
+        assert (code, out) == (1, "")
+        assert "graded piece has dimension at least 10^8870, above the cap 200000" in err
+
+
 class TestJsonAndTextAgree:
     """The JSON term lists and the text lines of a report parse to the
     same polynomials."""

@@ -8,6 +8,7 @@ from classinv.action import ActionContext, reynolds
 from classinv.certify import GeneratorId, contraction, decompose_in_generators
 from classinv.expr import (
     ExprSyntaxError,
+    coefficient_text,
     format_generator_combination,
     format_polynomial,
     parse_expression,
@@ -122,6 +123,69 @@ class TestParseErrors:
     def test_unknown_name(self):
         with pytest.raises(ExprSyntaxError):
             parse_expression("y[1,1]", OSIG, "o")
+
+    # str.isdigit takes these, but int reads only some of them
+    @pytest.mark.parametrize(
+        "text,offset",
+        [("²", 0), ("3²", 1), ("x[1,1]^²", 7), ("x[١,1]", 2), ("３*x[1,1]", 0)],
+        ids=["superscript", "digit-superscript", "exponent", "arabic-indic", "fullwidth"],
+    )
+    def test_only_ascii_digits(self, text, offset):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expression(text, OSIG, "o")
+        assert exc.value.offset == offset
+        assert "unexpected character" in str(exc.value)
+
+
+def _primes(lo, count):
+    sieve = bytearray([1]) * (lo * 2)
+    out = []
+    for p in range(2, len(sieve)):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(sieve[p * p :: p]))
+            if p >= lo:
+                out.append(p)
+    return out[:count]
+
+
+class TestPrintableCoefficients:
+    """Every sum the parser returns has coefficients that print within
+    Python's digit limit of integer conversion (4300 digits by default),
+    and within --dim-cap bits where that is less."""
+
+    def test_limit_in_bits(self):
+        assert parse_expression("2^14279*x[1,1]", OSIG, "o").terms[(1, 0, 0, 0)] == 2**14279
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expression("x[1,2] + 2^14280*x[1,1]", OSIG, "o")
+        assert exc.value.offset == 0
+        assert "14281 bits, above 14280 bits" in str(exc.value)
+        assert "4300-digit limit of integer conversion" in str(exc.value)
+
+    def test_a_sum_whose_terms_print(self):
+        # 1100 primes of 15 bits: each term prints, their sum's
+        # denominator has about 16000 bits
+        body = " + ".join(f"1/{p}" for p in _primes(2**14, 1100))
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expression(f"x[1,1]*({body})", OSIG, "o")
+        assert exc.value.offset == 8
+        assert "4300-digit limit" in str(exc.value)
+
+    def test_terms_that_cancel(self):
+        f = parse_expression("2^20000*x[1,1] + x[1,2] - 2^20000*x[1,1]", OSIG, "o")
+        assert f == vvar(OSIG, 1, 2)
+
+    def test_a_lower_dim_cap_bounds_sums(self):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expression("(1/1099511627776 + 1/1099511627775)*x[1,1]", OSIG, "o", dim_cap=50)
+        assert exc.value.offset == 1
+        assert "above the cap 50" in str(exc.value)
+
+    def test_output_beyond_the_limit_is_refused_in_our_words(self):
+        assert coefficient_text(Fraction(-2**14279, 3)) == str(Fraction(-2**14279, 3))
+        with pytest.raises(ValueError) as exc:
+            coefficient_text(Fraction(1, 10**4300))
+        assert "14285 bits" in str(exc.value) and "4300-digit limit" in str(exc.value)
+        assert "Exceeds the limit" not in str(exc.value)
 
 
 class TestFormat:

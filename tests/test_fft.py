@@ -369,8 +369,16 @@ class TestCopyClasses:
             (general_linear(3), 3, 2, 4),
             (_b3(), 0, 3, 4),
             (_half_swap(), 2, 2, 4),
+            # more copies than the degree fills: blocks with zero-degree
+            # copies share a reduced form with others of their pattern
+            (orthogonal(3), 0, 4, 4),
+            (symplectic(4), 0, 4, 4),
+            (general_linear(2), 3, 3, 4),
         ],
-        ids=["o2-m3", "o3-m3", "sp2-m3", "sp4-m3", "gl2-k2m2", "gl2-k2m3", "gl3-k3m2", "b3-m3", "half-k2m2"],
+        ids=[
+            "o2-m3", "o3-m3", "sp2-m3", "sp4-m3", "gl2-k2m2", "gl2-k2m3", "gl3-k3m2", "b3-m3",
+            "half-k2m2", "o3-m4", "sp4-m4", "gl2-k3m3",
+        ],
     )
     def test_relabelled_blocks_match_direct(self, spec, k, m, d):
         sig = SpaceSignature(n=spec.n, k=k, m=m)
@@ -397,6 +405,24 @@ class TestCopyClasses:
     def test_class_weights_reproduce_dim_history(self, spec, k, m, d, history, samples):
         res = invariant_subspace_basis(spec, SpaceSignature(n=spec.n, k=k, m=m), d)
         assert (res.dim_history, res.samples_used, res.dim) == (history, samples, history[-1])
+
+    @pytest.mark.parametrize(
+        "spec,k,m,d,calls",
+        [
+            (orthogonal(4), 0, 3, 4, 7),
+            (symplectic(4), 0, 4, 4, 5),
+            (symplectic(4), 0, 2, 8, 1),
+            (general_linear(3), 2, 2, 6, 9),
+        ],
+        ids=["o4-m3-d4", "sp4-m4-d4", "sp4-m2-d8", "gl3-k2m2-d6"],
+    )
+    def test_one_rref_per_copy_pattern(self, monkeypatch, spec, k, m, d, calls):
+        # one rref per surviving class and order of its positive copies,
+        # not one per block (15, 19, 1 and 16 blocks survive)
+        seen = []
+        monkeypatch.setattr(certify, "rref", lambda rows: seen.append(rows) or rref(rows))
+        invariant_subspace_basis(spec, SpaceSignature(n=spec.n, k=k, m=m), d)
+        assert len(seen) == calls
 
 
 def _torus_elements(spec):

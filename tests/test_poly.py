@@ -22,6 +22,7 @@ from classinv.poly import (
     SignatureMismatch,
     SpaceSignature,
     VarKind,
+    count_text,
     grlex_key,
     linear_images,
     space_dimension,
@@ -149,6 +150,37 @@ class TestArithmetic:
     def test_scalar_multiplication(self):
         x = xvar(SIG2, 1, 1)
         assert Fraction(3, 2) * x == x.scale(Fraction(3, 2))
+
+
+class TestConstructor:
+    """Fraction values and tuple keys are stored as they are; ints and
+    other key sequences are converted; either way zeros are dropped."""
+
+    def test_int_and_fraction_values_agree(self):
+        ints = Polynomial(SIG2, {(2, 0): 3, (1, 1): 0, (0, 2): -1})
+        fracs = Polynomial(SIG2, {(2, 0): Fraction(3), (1, 1): Fraction(0), (0, 2): Fraction(-1)})
+        assert ints == fracs
+        assert ints.terms == fracs.terms == {(2, 0): Fraction(3), (0, 2): Fraction(-1)}
+        for p in (ints, fracs):
+            assert all(type(c) is Fraction for c in p.terms.values())
+
+    def test_list_and_tuple_keys_agree(self):
+        class ListKey(list):  # a hashable list, so it can key a dict
+            __hash__ = object.__hash__
+
+        lists = Polynomial(SIG2, {ListKey([1, 1]): Fraction(1, 2), ListKey([0, 2]): 0, ListKey([2, 0]): 5})
+        tuples = Polynomial(SIG2, {(1, 1): Fraction(1, 2), (0, 2): 0, (2, 0): 5})
+        assert lists == tuples
+        assert lists.terms == {(1, 1): Fraction(1, 2), (2, 0): Fraction(5)}
+        assert all(type(m) is tuple for m in lists.terms)
+
+    def test_fractions_are_kept_not_copied(self):
+        half = Fraction(1, 2)
+        assert Polynomial(SIG2, {(1, 0): half}).terms[(1, 0)] is half
+
+    def test_other_values_are_refused(self):
+        with pytest.raises(TypeError):
+            Polynomial(SIG2, {(1, 0): 0.5})
 
 
 def rational_poly(rng, sig, max_deg=3, terms=4):
@@ -366,3 +398,10 @@ def test_substitution_matches_products_of_linear_forms(case):
 def test_repr_mentions_variables():
     x = xvar(SIG2, 1, 1)
     assert "x[1,1]" in repr(x)
+
+
+def test_count_text_shows_a_huge_count_by_its_size():
+    assert count_text(230230) == "230230"
+    assert count_text(10**300) == str(10**300)
+    assert count_text(2**1000) == "at least 10^301"  # 2^1000 is about 1.07e301
+    assert count_text(10**8000) == "at least 10^7999"
