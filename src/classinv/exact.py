@@ -328,10 +328,12 @@ class Echelon:
                 add_scaled(row, -b // g, other)
             g = gcd(*row.values())
             done[lead] = {m: c // g for m, c in row.items()} if g != 1 else row
-        return [
-            {m: Fraction(c, row[lead]) for m, c in row.items()}
-            for lead, row in sorted(done.items(), reverse=True)
-        ]
+        out = []
+        for lead, row in sorted(done.items(), reverse=True):
+            # a kernel row repeats a few small values: one Fraction each
+            den, made = row[lead], {}
+            out.append({m: made.get(c) or made.setdefault(c, Fraction(c, den)) for m, c in row.items()})
+        return out
 
 
 def _keyed(row: Sequence) -> dict:

@@ -101,7 +101,9 @@ class _Parser:
         printable = limit * 3321 // 1000  # log2(10) > 3.321 bits per digit
         if limit and printable < dim_cap:
             self.sum_cap = printable
-            self.sum_cap_name = f"{printable} bits, the most that print within the {limit}-digit limit of integer conversion"
+            self.sum_cap_name = (
+                f"{printable} bits, the most that print within the {limit}-digit limit of integer conversion"
+            )
         else:
             self.sum_cap, self.sum_cap_name = dim_cap, f"the cap {dim_cap}"
 
@@ -138,7 +140,9 @@ class _Parser:
                 # a sum's denominators multiply, so it may pass the cap its terms kept
                 bits = _coefficient_bits(result) if result else 0
                 if bits > self.sum_cap:
-                    raise ExprSyntaxError(f"coefficients reach {bits} bits, above {self.sum_cap_name}", start)
+                    raise ExprSyntaxError(
+                        f"coefficients reach {bits} bits, above {self.sum_cap_name}", start
+                    )
                 return result
             op = self._take()[0]
 
