@@ -117,7 +117,9 @@ from .poly import (
     grlex_key,
     integer_forms,
     linear_forms,
+    mul_terms,
     space_dimension,
+    weighted_exponents,
 )
 
 class NotInvariant(ValueError):
@@ -234,18 +236,32 @@ def _term_product(sig: SpaceSignature, factors: list[dict], exps) -> dict:
     p = {(0,) * sig.num_vars: 1}
     for g, e in zip(factors, exps):
         for _ in range(e):
-            out: dict = {}
-            for m1, c1 in p.items():
-                for m2, c2 in g.items():
-                    mono = tuple(map(add, m1, m2))
-                    out[mono] = out.get(mono, 0) + c1 * c2
-            p = {m: c for m, c in out.items() if c}
+            p = mul_terms(p, g)
     return p
 
 
-def _power_product(sig: SpaceSignature, factors: list[Polynomial], exps) -> Polynomial:
-    """_term_product of Polynomials."""
-    return Polynomial(sig, _term_product(sig, [g.terms for g in factors], exps))
+def _integer_terms(gens, sig: SpaceSignature) -> list[dict]:
+    """Each contraction's expansion as a term dict of ints."""
+    return [{m: int(c) for m, c in contraction(g, sig).terms.items()} for g in gens]
+
+
+def _products(sig: SpaceSignature, factors: list[dict], weights: list[int], d: int, blocks=None):
+    """The degree-d products of the factors (term dicts of the given
+    degrees, each homogeneous in every copy) as (exponents, block, terms),
+    in graded-lex order.  The block, the product's copy degrees, is worked
+    out from the exponents first, and only the products in `blocks` (all
+    of them if None) are expanded."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    own = [sig.copy_degrees(next(iter(g))) for g in factors]
+    for exps in weighted_exponents(weights, d):
+        block = [0] * sig.num_copies
+        for b, e in zip(own, exps):
+            for c, x in enumerate(b):
+                block[c] += e * x
+        block = tuple(block)
+        if blocks is None or block in blocks:
+            yield exps, block, _term_product(sig, factors, exps)
 
 
 @dataclass(frozen=True)
@@ -275,33 +291,6 @@ def _product_count(weights: list[int], d: int, dim_cap: int) -> int:
     return ways[d]
 
 
-def _weighted_exponents(weights: list[int], total: int):
-    """Exponent vectors e with sum e_i * weights[i] = total, lex descending."""
-    if not weights:
-        if total == 0:
-            yield ()
-        return
-    w = weights[0]
-    for e in range(total // w, -1, -1):
-        for rest in _weighted_exponents(weights[1:], total - e * w):
-            yield (e,) + rest
-
-
-def _contraction_products(sig: SpaceSignature, expansions: list[Polynomial], d: int):
-    """Each degree-d product of the expanded contractions, unexpanded, as
-    (exponents, block) in graded-lex order: the block is the product's
-    copy degrees, e times each factor's own copy degrees, summed."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    blocks = [g.copy_degrees() for g in expansions]
-    for exps in _weighted_exponents([2] * len(expansions), d):
-        block = [0] * sig.num_copies
-        for b, e in zip(blocks, exps):
-            for c, x in enumerate(b):
-                block[c] += e * x
-        yield exps, tuple(block)
-
-
 def _class_spans(spec: GroupSpec, sig: SpaceSignature, d: int, sizes: dict) -> tuple:
     """(representative, class size, rank) for each copy-permutation class
     of `sizes`, {representative: class size}: the rank of the degree-d
@@ -315,13 +304,10 @@ def _class_spans(spec: GroupSpec, sig: SpaceSignature, d: int, sizes: dict) -> t
     rank, and only the representatives' products are expanded, over the
     contractions' integer coefficients.
     """
-    expansions = [contraction(g, sig) for g in generators_for(spec, sig)]
-    factors = [{m: int(c) for m, c in g.terms.items()} for g in expansions]
+    gens = generators_for(spec, sig)
     echelons = {rep: Echelon() for rep in sizes}
-    for exps, block in _contraction_products(sig, expansions, d):
-        echelon = echelons.get(block)
-        if echelon is not None:
-            echelon.insert(_term_product(sig, factors, exps))
+    for _, block, terms in _products(sig, _integer_terms(gens, sig), [2] * len(gens), d, echelons):
+        echelons[block].insert(terms)
     return tuple((rep, size, echelons[rep].rank) for rep, size in sizes.items())
 
 
@@ -335,10 +321,9 @@ def generator_products_basis(
     the dimension) push dim_span strictly below the free count.
     """
     gens = tuple(generators_for(spec, sig))
-    expansions = [contraction(g, sig) for g in gens]
     products = tuple(
-        (exps, _power_product(sig, expansions, exps))
-        for exps, _ in _contraction_products(sig, expansions, d)
+        (exps, Polynomial(sig, terms))
+        for exps, _, terms in _products(sig, _integer_terms(gens, sig), [2] * len(gens), d)
     )
     echelon = Echelon()
     independent = tuple(idx for idx, (_, p) in enumerate(products) if echelon.insert(p.terms))
@@ -471,9 +456,9 @@ def _orbit_kernel(monos: list[Monomial], moves: list) -> list[dict]:
     along every edge.  One walk per orbit gives its first monomial weight
     1 and every monomial reached the weight the edge forces; reaching a
     monomial again with another weight kills the orbit.  Weights stay
-    ints unless a scale is not +-1, and each surviving orbit contributes
-    one basis vector, an integer vector scaled by the lcm of its weights'
-    denominators.
+    ints unless a scale has a denominator, and each surviving orbit
+    contributes one basis vector, an integer vector scaled by the lcm of
+    its weights' denominators.
     """
     weight: dict = {}
     basis = []
@@ -485,14 +470,12 @@ def _orbit_kernel(monos: list[Monomial], moves: list) -> list[dict]:
         alive = True
         for m in orbit:
             w = weight[m]
-            for image, negated, powers in moves:
-                c = -w if sum(negated(m)) & 1 else w
+            for image, scales in moves:
                 p = q = 1
-                for v, num, den in powers:
+                for v, num, den in scales:
                     p *= num ** m[v]
                     q *= den ** m[v]
-                if p != q:
-                    c = Fraction(c * p, q)
+                c = w * p if q == 1 else Fraction(w * p, q)
                 img = image(m)
                 seen = weight.get(img)
                 if seen is None:
@@ -527,9 +510,10 @@ def _derive(moves: list, v: dict) -> dict:
 def _constraint_table(sig: SpaceSignature, elems: tuple) -> tuple:
     """How each of elems is imposed, in list order, as (kind, payload),
     the kind read off g.  "orbit": g is a scaled permutation, and the
-    payload (image, negated, powers) moves monomial m to image(m), negated
-    when the exponents negated(m) picks have odd sum and scaled by
-    num^e / den^e for each (variable, num, den) in powers.  "derive":
+    payload (image, scales) moves monomial m to image(m) times num^e /
+    den^e for each (variable, num, den) in scales, e the variable's
+    exponent in m; scales holds every variable scale other than 1, -1
+    included, as a reduced fraction num / den with den > 0.  "derive":
     (g - 1)^2 = 0 with g != 1, and the payload is D as `_derive` moves:
     each variable's form under the substitution of g - 1 (N^T on covector
     copies, g^-1 - 1 = -N on vector copies), times the lcm of the forms'
@@ -545,9 +529,8 @@ def _constraint_table(sig: SpaceSignature, elems: tuple) -> tuple:
             ensure(all(len(form) == 1 for form in forms), "a scaled permutation mixes variables")
             scale = [form[0][1] for form in forms]  # variable v goes to scale[v] * x_u
             src = sorted(range(len(forms)), key=lambda v: forms[v][0][0])  # image[u] = m[v]
-            neg = [v for v, s in enumerate(scale) if s < 0]
-            powers = tuple((v, abs(s).numerator, s.denominator) for v, s in enumerate(scale) if abs(s) != 1)
-            table.append(("orbit", (_picker(src), _picker(neg), powers)))
+            scales = tuple((v, s.numerator, s.denominator) for v, s in enumerate(scale) if s != 1)
+            table.append(("orbit", (_picker(src), scales)))
             continue
         nil = elem.g - one
         if not any((nil @ nil).entries):
@@ -784,10 +767,10 @@ class GeneratorCombination:
     sig: SpaceSignature
 
     def expand(self) -> Polynomial:
-        expansions = [contraction(g, self.sig) for g in self.generators]
+        factors = _integer_terms(self.generators, self.sig)
         total: dict = {}
         for exps, coeff in self.terms:
-            add_scaled(total, coeff, _power_product(self.sig, expansions, exps).terms)
+            add_scaled(total, coeff, _term_product(self.sig, factors, exps))
         return Polynomial(self.sig, total)
 
 
@@ -826,14 +809,12 @@ def decompose_in_generators(
         return GeneratorCombination(gens, (), sig)
     d = f.degree()
     _product_count([2] * len(gens), d, dim_cap)
-    expansions = [contraction(g, sig) for g in gens]
     blocks = {sig.copy_degrees(m) for m in f.terms}
     echelon = Echelon()
     products = []
-    for exps, block in _contraction_products(sig, expansions, d):
-        if block in blocks:
-            echelon.insert(_power_product(sig, expansions, exps).terms, len(products))
-            products.append(exps)
+    for exps, _, terms in _products(sig, _integer_terms(gens, sig), [2] * len(gens), d, blocks):
+        echelon.insert(terms, len(products))
+        products.append(exps)
     # f + sum combo[i] * product_i = residual
     residual, combo = echelon.reduce(f.terms, {})
     if residual:
@@ -892,9 +873,8 @@ def minimal_generator_degrees(
         _product_count(weights, d, dim_cap)
         kr = invariant_subspace_basis(spec, sig, d, dim_cap=dim_cap)
         echelon = Echelon()
-        factors = [gpoly for _, gpoly in found]
-        for exps in _weighted_exponents(weights, d):
-            echelon.insert(_power_product(sig, factors, exps).terms)
+        for _, _, terms in _products(sig, [g.terms for _, g in found], weights, d):
+            echelon.insert(terms)
         new = kr.dim - echelon.rank
         ensure(new >= 0, f"degree {d}: kernel {kr.dim} below product rank {echelon.rank}")
         new_by_degree[d] = new

@@ -71,10 +71,12 @@ def read_matrix_file(path: str, bit_cap: int = DEFAULT_DIM_CAP) -> list[Matrix]:
     """One matrix per block: rows of space-separated rationals, matrices
     separated by blank lines.
 
-    An entry whose digits and exponent give it more than bit_cap bits is
-    refused before `Fraction` expands it: 1e99999999 has about 3.3e8.
-    So is an entry with a number longer than Python's digit limit of
-    integer conversion, before `int` or `Fraction` reads it.
+    An entry with a character other than ASCII `0-9 + - / . e E` (such as
+    another script's digit) is refused before `Fraction` reads it.  So
+    is one whose digits and exponent give it more than bit_cap bits,
+    before `Fraction` expands it (1e99999999 has about 3.3e8), and one
+    with a number longer than Python's digit limit of integer
+    conversion, before `int` or `Fraction` reads it.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -90,6 +92,8 @@ def read_matrix_file(path: str, bit_cap: int = DEFAULT_DIM_CAP) -> list[Matrix]:
             continue
         row = []
         for tok in line.split():
+            if set(tok) - set("0123456789+-/.eE"):
+                raise CliError(f"bad matrix entry {tok[:40]!r} in {path}")
             mantissa, _, exp = tok.lower().partition("e")
             # Fraction reads the numerator, the denominator or the
             # decimals, and the exponent each as one integer

@@ -80,14 +80,12 @@ def symplectic(n: int) -> GroupSpec:
     return GroupSpec("sp", n)
 
 
-def finite_group(
-    generators, n: int | None = None, cap: int = DEFAULT_CLOSURE_CAP
-) -> GroupSpec:
+def finite_group(generators, cap: int = DEFAULT_CLOSURE_CAP) -> GroupSpec:
+    """The finite group the matrices generate, acting on their own size."""
     gens = tuple(generators)
-    if not gens and n is None:
-        raise ValueError("need generators or an explicit n")
-    size = n if n is not None else gens[0].rows
-    return GroupSpec("finite", size, gens, cap)
+    if not gens:
+        raise ValueError("need at least one generator")
+    return GroupSpec("finite", gens[0].rows, gens, cap)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, lcm
+from operator import add
 from typing import Mapping
 
-from .exact import Matrix, ZERO, ONE, _as_fraction, add_scaled
+from .exact import Matrix, ONE, _as_fraction, add_scaled
 
 Monomial = tuple  # dense exponent tuple, length = signature.num_vars
 
@@ -120,14 +121,36 @@ def check_dim_cap(sig: SpaceSignature, d: int, cap: int = DEFAULT_DIM_CAP) -> No
         raise DegreeCapExceeded(dim, cap)
 
 
+def weighted_exponents(weights: list[int], total: int):
+    """Exponent tuples e with sum e_i * weights[i] = total, lexicographically
+    descending; the last exponent is solved for, not searched."""
+    if not weights:
+        if total == 0:
+            yield ()
+    elif len(weights) == 1:
+        if total % weights[0] == 0:
+            yield (total // weights[0],)
+    else:
+        w = weights[0]
+        for first in range(total // w, -1, -1):
+            for rest in weighted_exponents(weights[1:], total - first * w):
+                yield (first,) + rest
+
+
 def _exponents_desc(nvars: int, total: int):
     """All exponent tuples of the given total degree, lexicographically descending."""
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _exponents_desc(nvars - 1, total - first):
-            yield (first,) + rest
+    return weighted_exponents((1,) * nvars, total)
+
+
+def mul_terms(a: Mapping, b: Mapping) -> dict:
+    """The product of two term dicts, zeros dropped: the one multiply loop
+    of the package.  Integer coefficients give integer coefficients."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(map(add, m1, m2))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def grlex_key(mono: Monomial) -> tuple:
@@ -279,16 +302,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._need_same_sig(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(mono, ZERO) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return Polynomial(self.sig, out)
+        return Polynomial(self.sig, mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 

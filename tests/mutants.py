@@ -108,6 +108,20 @@ MUTANTS = (
         "return tuple(c for c, dc in enumerate(block) if dc), _picker(src)",
         "the same, not merely on the same set of positive copies",
     ),
+    Mutant(
+        "product-block",
+        "certify.py",
+        "block[c] += e * x",
+        "block[c] += x",
+        "a product's block is its exponents times its factors' copy degrees",
+    ),
+    Mutant(
+        "orbit-sign",
+        "certify.py",
+        "if s != 1",
+        "if abs(s) != 1",
+        "an orbit move carries the sign of its negated variables",
+    ),
 )
 
 

@@ -301,9 +301,9 @@ class TestVariableMap:
 
     @staticmethod
     def mapped(move, mono):
-        image, negated, powers = move
-        c = Fraction(-1 if sum(negated(mono)) % 2 else 1)
-        for v, num, den in powers:
+        image, scales = move
+        c = Fraction(1)
+        for v, num, den in scales:
             c *= Fraction(num, den) ** mono[v]
         return {image(mono): c}
 

@@ -537,6 +537,30 @@ class TestFiniteGroups:
         assert "5001 digits" in err and "4300-digit limit" in err
         assert str(path) in err and "Exceeds the limit" not in err
 
+    @pytest.mark.parametrize(
+        "text,token",
+        [
+            ("-\u0661\n", "-\u0661"),
+            ("\u0663\n", "\u0663"),
+            ("\uff11\n", "\uff11"),
+            ("1_0 0\n0 1\n", "1_0"),
+        ],
+        ids=["arabic-indic-minus-one", "arabic-indic-three", "fullwidth-one", "underscore"],
+    )
+    def test_entry_with_non_ascii_digits_refused(self, capsys, tmp_path, text, token):
+        # Fraction reads other scripts' digits and underscores between
+        # digits; a group file, like --expr, takes ASCII digits only
+        path = tmp_path / "digits.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "reynolds", "--group", "finite", "--group-file", str(path),
+            "--vectors", "1", "--expr", "x[1,1]",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: bad matrix entry {token!r} in {path}\n"
+
     # kernels and check impose only the generators, so the closure that
     # proves the group finite must still run before any of them
     @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ elimination over every product (`reference_decompose`), relations and
 first-wins choice included.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -85,15 +86,21 @@ def test_first_wins_on_the_gram_relation():
     assert combo.expand() == f
 
 
-def test_only_the_products_in_fs_blocks_are_expanded(monkeypatch):
+def _count_expansions(monkeypatch) -> list:
+    # the exponents of every product the product stream expands
     expanded = []
-    power_product = certify._power_product
+    term_product = certify._term_product
 
     def counting(*args, **kwargs):
         expanded.append(args[2])
-        return power_product(*args, **kwargs)
+        return term_product(*args, **kwargs)
 
-    monkeypatch.setattr(certify, "_power_product", counting)
+    monkeypatch.setattr(certify, "_term_product", counting)
+    return expanded
+
+
+def test_only_the_products_in_fs_blocks_are_expanded(monkeypatch):
+    expanded = _count_expansions(monkeypatch)
     spec, sig = orthogonal(3), SpaceSignature(3, 0, 4)
     f = parse_expression("s(1,1)^4", sig, "o")
     combo = decompose_in_generators(spec, sig, f)
@@ -103,6 +110,36 @@ def test_only_the_products_in_fs_blocks_are_expanded(monkeypatch):
     f = parse_expression("s(1,1)^4 + s(1,2)^2*s(3,4)^2", sig, "o")
     decompose_in_generators(spec, sig, f)
     assert len(expanded) == 1 + 17  # the blocks (8,0,0,0) and (2,2,2,2)
+
+
+@pytest.mark.parametrize(
+    "spec,sig,d",
+    [
+        (orthogonal(3), SpaceSignature(3, 0, 4), 4),
+        (general_linear(2), SpaceSignature(2, 2, 3), 4),
+    ],
+    ids=["o3m4d4", "gl2k2m3d4"],
+)
+def test_fft_verify_expands_only_the_representatives_products(monkeypatch, spec, sig, d):
+    expanded = _count_expansions(monkeypatch)
+    fft_verify(spec, sig, d)
+    gens = certify.generators_for(spec, sig)
+    k = sig.k
+    expected = []
+    for exps in itertools.product(range(d // 2 + 1), repeat=len(gens)):
+        if 2 * sum(exps) != d:
+            continue
+        block = [0] * sig.num_copies
+        for g, e in zip(gens, exps):
+            block[g.i - 1 if g.family == "gl" else k + g.i - 1] += e
+            block[k + g.j - 1] += e
+        # a class representative: covector and vector degrees each descending
+        if block[:k] == sorted(block[:k], reverse=True) and block[k:] == sorted(
+            block[k:], reverse=True
+        ):
+            expected.append(exps)
+    assert sorted(expanded) == sorted(expected)
+    assert 0 < len(expected) < comb(len(gens) + d // 2 - 1, d // 2)
 
 
 @pytest.mark.parametrize(

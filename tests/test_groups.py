@@ -93,13 +93,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             GroupSpec(family="su", n=2)
 
-    def test_finite_needs_generators_or_n(self):
-        with pytest.raises(ValueError):
+    def test_finite_needs_a_generator(self):
+        with pytest.raises(ValueError, match="need at least one generator"):
             finite_group([])
 
     def test_generator_size_checked(self):
-        with pytest.raises(ValueError):
-            finite_group([Matrix.identity(2)], n=3)
+        with pytest.raises(ValueError, match="generator size"):
+            finite_group([Matrix.identity(2), Matrix.identity(3)])
 
 
 class TestCayley:
@@ -320,7 +320,7 @@ def _lie_closure_dim(spec: GroupSpec) -> int:
     for el, (kind, payload) in zip(els, _constraint_table(sig, tuple(els))):
         if kind == "orbit":
             # a Weyl or torus element, no direction of its own
-            if not payload[2]:  # no scale other than +-1
+            if all(abs(Fraction(num, den)) == 1 for _, num, den in payload[1]):
                 weyl.append(el)
             continue
         x = el.g - eye
