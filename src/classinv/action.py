@@ -13,9 +13,7 @@ fixed by every g, and act(g, act(h, f)) = act(g*h, f) holds exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import add_scaled
 from .groups import (
     GroupElement,
     GroupSpec,
@@ -45,7 +43,7 @@ def substitution(sig: SpaceSignature, elem: GroupElement) -> dict:
     This is the one statement of the action convention; `act` substitutes
     it and the kernel's constraint table reads its moves off the same.
     """
-    gT = elem.g.transpose()
+    gT = elem.g.transpose() if sig.k else None  # no covector copy, no transpose
     assign = {(VarKind.COVECTOR, i): gT for i in range(1, sig.k + 1)}
     assign.update({(VarKind.VECTOR, j): elem.g_inv for j in range(1, sig.m + 1)})
     return assign
@@ -76,12 +74,12 @@ def reynolds(ctx: ActionContext, f: Polynomial) -> Polynomial:
 
     Idempotent, identity on invariants, and multiplicative over invariant
     factors: reynolds(phi * f) = phi * reynolds(f) when phi is invariant.
+    The images of f under every element are summed in one integer
+    accumulator per coefficient denominator (`substitute_mean`), the
+    substitution of `act` for each element, and divided once per term.
     """
     if ctx.spec.family != "finite":
         raise NotFiniteGroup("averaging needs a finite group")
-    elems = group_elements(ctx.spec)
-    weight = Fraction(1, len(elems))
-    total: dict = {}
-    for e in elems:
-        add_scaled(total, weight, act(ctx, e, f).terms)
-    return Polynomial(ctx.sig, total)
+    if f.sig != ctx.sig:
+        raise ValueError("polynomial signature does not match the context")
+    return f.substitute_mean([substitution(ctx.sig, e) for e in group_elements(ctx.spec)])

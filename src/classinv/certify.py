@@ -866,14 +866,14 @@ def minimal_generator_degrees(
     """
     if bound < 1:
         raise ValueError("the degree bound must be at least 1")
-    found: list[tuple[int, Polynomial]] = []
+    found: list[tuple[int, dict]] = []  # (degree, primitive integer terms)
     new_by_degree: dict[int, int] = {}
     for d in range(1, bound + 1):
         weights = [dg for dg, _ in found]
         _product_count(weights, d, dim_cap)
         kr = invariant_subspace_basis(spec, sig, d, dim_cap=dim_cap)
         echelon = Echelon()
-        for _, _, terms in _products(sig, [g.terms for _, g in found], weights, d):
+        for _, _, terms in _products(sig, [g for _, g in found], weights, d):
             echelon.insert(terms)
         new = kr.dim - echelon.rank
         ensure(new >= 0, f"degree {d}: kernel {kr.dim} below product rank {echelon.rank}")
@@ -882,7 +882,9 @@ def minimal_generator_degrees(
             added = 0
             for b in kr.basis:
                 if echelon.insert(b.terms):
-                    found.append((d, b))
+                    # b's lead is 1, so den * b is a primitive integer row
+                    den = lcm(*(c.denominator for c in b.terms.values()))
+                    found.append((d, {m: int(c * den) for m, c in b.terms.items()}))
                     added += 1
             ensure(added == new, f"degree {d}: {added} new generators, {new} expected")
     degrees = tuple(sorted(dg for dg, _ in found))

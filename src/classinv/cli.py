@@ -137,6 +137,8 @@ def _block_to_matrix(block: list[list[Fraction]], path: str) -> Matrix:
 def make_session(args) -> tuple[GroupSpec, SpaceSignature]:
     if not 0 <= args.seed < MAX_SEED:
         raise CliError("--seed must be an unsigned 64-bit integer")
+    if args.max_order < 1:
+        raise CliError("--max-order must be at least 1")
     if args.group == "finite":
         if not args.group_file:
             raise CliError("--group-file is required for finite groups")
@@ -323,31 +325,34 @@ COMMANDS = {
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """Every subcommand with its help line, but only `command`'s with its
-    arguments: argparse reads no other subparser's."""
-    parser = argparse.ArgumentParser(
-        prog="classinv",
-        description="Exact construction and certification of the basic "
-        "invariants of the classical groups.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, groups, own) in COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        if name != command:
-            continue
-        sp.add_argument("--group", required=True, choices=groups)
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--covectors", type=int, default=0)
-        sp.add_argument("--vectors", type=int, default=0)
-        sp.add_argument("--group-file", default=None)
-        sp.add_argument("--max-order", type=int, default=10_000)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
-        sp.add_argument("--format", choices=["text", "json"], default="text")
-        sp.add_argument("--timing", action="store_true")
-        if own:
-            sp.add_argument(own[0], type=own[1], required=True)
-        sp.set_defaults(handler=handler)
+    """The parser of `command` alone, or, when the first token names no
+    command (`--help`, a typo, nothing), the table of commands, which
+    builds no command's arguments."""
+    if command not in COMMANDS:
+        parser = argparse.ArgumentParser(
+            prog="classinv",
+            description="Exact construction and certification of the basic "
+            "invariants of the classical groups.",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, (help_text, *_) in COMMANDS.items():
+            sub.add_parser(name, help=help_text)
+        return parser
+    _, handler, groups, own = COMMANDS[command]
+    parser = argparse.ArgumentParser(prog=f"classinv {command}")
+    parser.add_argument("--group", required=True, choices=groups)
+    parser.add_argument("--n", type=int, default=None)
+    parser.add_argument("--covectors", type=int, default=0)
+    parser.add_argument("--vectors", type=int, default=0)
+    parser.add_argument("--group-file", default=None)
+    parser.add_argument("--max-order", type=int, default=10_000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
+    parser.add_argument("--format", choices=["text", "json"], default="text")
+    parser.add_argument("--timing", action="store_true")
+    if own:
+        parser.add_argument(own[0], type=own[1], required=True)
+    parser.set_defaults(handler=handler)
     return parser
 
 
@@ -362,9 +367,16 @@ def main(argv=None) -> int:
         else:
             tokens.append(tok)
     try:
-        # the parser (~100 KB of cycles) must die young: held through the
-        # command it ages into the oldest GC generation and piles up in-process
-        args = build_parser(tokens[0] if tokens else None).parse_args(tokens)
+        # the parser must die young: held through the command it ages
+        # into the oldest GC generation and piles up in-process
+        command = tokens[0] if tokens else None
+        if command in COMMANDS:
+            args = build_parser(command).parse_args(tokens[1:])
+        else:
+            # the table prints its help or a usage error, and runs nothing
+            table = build_parser(command)
+            table.parse_args(tokens)
+            table.error("the command must come first")
     except SystemExit as e:
         # argparse exits 2 on usage errors; that code is reserved for
         # inconclusive outcomes here, so fold usage problems into 1

@@ -123,7 +123,7 @@ def contains(spec: GroupSpec, g: Matrix) -> bool:
     if spec.family in ("o", "sp"):
         F = form_matrix(spec.family, spec.n)
         return g.transpose() @ F @ g == F
-    return g in group_elements_matrices(spec)
+    return g in group_elements_matrices(spec)[0]
 
 
 def _element(spec: GroupSpec, g: Matrix) -> GroupElement:
@@ -207,7 +207,7 @@ def sample_element(spec: GroupSpec, seed: int) -> GroupElement:
     return elems[rng.randrange(len(elems))]
 
 
-def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> list[Matrix]:
+def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP, inverses=None) -> list[Matrix]:
     """All products of the generators, BFS order from the identity.
 
     The generators must be invertible; a closed finite set of invertible
@@ -227,50 +227,67 @@ def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> list[Matrix]:
     and its trace t / q passes when q divides t and -n q <= t < n q.
     One Matrix per element is built at the end, each distinct entry
     made into a Fraction once.
+
+    Only the generators are inverted by elimination: each new p = x s
+    gets the key of its inverse inv(s) inv(x) as it is found, and a list
+    `inverses` receives the position of each element's inverse.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].rows
+    starts = range(0, n * n, n)
+
+    def key(g: Matrix) -> tuple:
+        q = lcm(*(e.denominator for e in g.entries))
+        return [e.numerator * (q // e.denominator) for e in g.entries], q
+
+    def times(rows, q, cols, cq) -> tuple:
+        p = tuple([sum(map(mul, r, c)) for r in rows for c in cols])
+        pq = q * cq
+        if pq != 1:
+            common = gcd(pq, *p)
+            if common != 1:
+                p = tuple([x // common for x in p])
+                pq //= common
+        return p, pq
+
+    steps = []  # (columns of the numerators, q, rows of the inverse's, its q) per generator
     for g in gens:
         if g.rows != n or g.cols != n:
             raise ValueError("generators must share one size")
-        if not g.is_invertible():
-            raise ValueError("generators must be invertible")
-    steps = []  # (columns of the numerators, q) per generator
-    for g in gens:
-        q = lcm(*(e.denominator for e in g.entries))
-        nums = [e.numerator * (q // e.denominator) for e in g.entries]
-        steps.append(([nums[j::n] for j in range(n)], q))
+        try:
+            inums, iq = key(g.inverse())
+        except SingularMatrixError:
+            raise ValueError("generators must be invertible") from None
+        nums, q = key(g)
+        steps.append(([nums[j::n] for j in range(n)], q, [inums[i : i + n] for i in starts], iq))
     ident = (tuple(int(i == j) for i in range(n) for j in range(n)), 1)
-    seen = {ident}
+    inverse_of = {ident: ident}
     order = [ident]
     frontier = [ident]
-    starts = range(0, n * n, n)
     while frontier:
         nxt = []
-        for nums, q in frontier:
+        for x in frontier:
+            (nums, q), (xinv, xq) = x, inverse_of[x]
             rows = [nums[i : i + n] for i in starts]
-            for cols, gq in steps:
-                p = tuple([sum(map(mul, r, c)) for r in rows for c in cols])
-                pq = q * gq
-                if pq != 1:
-                    common = gcd(pq, *p)
-                    if common != 1:
-                        p = tuple([x // common for x in p])
-                        pq //= common
-                key = (p, pq)
-                if key not in seen:
-                    t = sum(p[:: n + 1])
+            for cols, gq, inv_rows, inv_q in steps:
+                p = times(rows, q, cols, gq)
+                if p not in inverse_of:
+                    pnums, pq = p
+                    t = sum(pnums[:: n + 1])
                     if t % pq or not -n * pq <= t < n * pq:
                         # the trace itself may be too long to print
                         raise NotFiniteGroup("the generators generate an element of infinite order")
-                    if len(seen) >= cap:
+                    if len(inverse_of) >= cap:
                         raise ClosureCapExceeded(cap)
-                    seen.add(key)
-                    order.append(key)
-                    nxt.append(key)
+                    inverse_of[p] = times(inv_rows, inv_q, [xinv[j::n] for j in range(n)], xq)
+                    order.append(p)
+                    nxt.append(p)
         frontier = nxt
+    if inverses is not None:
+        position = {k: i for i, k in enumerate(order)}
+        inverses[:] = [position[inverse_of[k]] for k in order]
     made: dict = {}  # (numerator, q) -> Fraction
     out = []
     for nums, q in order:
@@ -286,15 +303,20 @@ def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> list[Matrix]:
 
 @lru_cache(maxsize=None)
 def group_elements_matrices(spec: GroupSpec) -> tuple:
+    """(elements, inverses): a finite group's matrices in closure order, and
+    the position of each one's inverse."""
     if spec.family != "finite":
         raise NotFiniteGroup(f"{spec.family} is not a finite family")
-    return tuple(finite_closure(spec.generators, spec.closure_cap))
+    inverses: list = []
+    mats = tuple(finite_closure(spec.generators, spec.closure_cap, inverses))
+    return mats, tuple(inverses)
 
 
 @lru_cache(maxsize=None)
 def group_elements(spec: GroupSpec) -> tuple:
     """Every element of a finite group, as GroupElement, in closure order."""
-    return tuple(_element(spec, g) for g in group_elements_matrices(spec))
+    mats, inverses = group_elements_matrices(spec)
+    return tuple(GroupElement(g, mats[i]) for g, i in zip(mats, inverses))
 
 
 def _unit(n: int, entries: dict) -> Matrix:
@@ -347,8 +369,9 @@ def small_integer_elements(spec: GroupSpec) -> list[GroupElement]:
     it rests on the cached closure, which callers may clear.
     """
     if spec.family == "finite":
-        group_elements_matrices(spec)  # raises unless the group is finite
-        return [_element(spec, g) for g in spec.generators]
+        mats, inverses = group_elements_matrices(spec)  # raises unless the group is finite
+        # the generators follow the identity in closure order: index finds them at once
+        return [GroupElement(g, mats[inverses[mats.index(g)]]) for g in spec.generators]
     return list(_classical_elements(spec.family, spec.n))
 
 

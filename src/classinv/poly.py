@@ -174,7 +174,7 @@ def linear_forms(sig: SpaceSignature, assign: Mapping[tuple[VarKind, int], Matri
             )
         base = sig.var_index(kind, copy, 1)
         for a in range(n):
-            forms[base + a] = tuple((base + b, mat.at(a, b)) for b in range(n) if mat.at(a, b))
+            forms[base + a] = tuple((base + b, c) for b, c in enumerate(mat.row(a)) if c)
     return forms
 
 
@@ -353,38 +353,43 @@ class Polynomial:
 
     # -- substitution ----------------------------------------------------
 
-    def substitute_linear(
-        self, assign: Mapping[tuple[VarKind, int], Matrix]
-    ) -> "Polynomial":
+    def substitute_linear(self, assign: Mapping[tuple[VarKind, int], Matrix]) -> "Polynomial":
         """Replace each copy's coordinates by the given linear combinations.
 
         The matrix M assigned to a copy rewrites that copy's coordinate a
         as sum_b M[a,b] * coordinate b; copies without an assignment keep
         the identity.  The result is f composed with the block-diagonal
-        linear map: the sum of the terms' monomial images from
-        ``linear_images``, collected exactly.
+        linear map: `substitute_mean` over this one assignment.
+        """
+        return self.substitute_mean([assign])
 
-        The sum runs on integers.  The terms of f are grouped by the
-        denominator q of their coefficient; with D the images' scale and
-        top the class's largest degree, term p/q * m contributes
-        p * D^(top - deg m) * image(m), all over q * D^top, so each class
-        collects integer numerators over one denominator and divides once
-        per output term.  (One lcm over every coefficient would make the
+    def substitute_mean(self, assigns: list) -> "Polynomial":
+        """The mean of ``substitute_linear`` over a nonempty list of
+        assignments, summed exactly from ``linear_images`` on integers.
+
+        The terms of f are grouped by the denominator q of their
+        coefficient.  With top the class's largest degree, D an
+        assignment's scale and L the lcm of every D^top, term p/q * m adds
+        p * (L / D^deg m) * image(m) per assignment, all over
+        q * L * len(assigns): one denominator per class, one division per
+        output term.  (One lcm over every coefficient would make the
         numerators of f as long as all its denominators together.)
         """
-        scale, image = linear_images(self.sig, assign)
+        images = [linear_images(self.sig, assign) for assign in assigns]
         classes: dict = {}
         for mono, coeff in self.terms.items():
-            classes.setdefault(coeff.denominator, []).append((mono, coeff.numerator))
+            classes.setdefault(coeff.denominator, []).append((mono, coeff.numerator, sum(mono)))
         out: dict = {}
         for q, terms in classes.items():
-            top = max(sum(mono) for mono, _ in terms)
+            top = max(deg for _, _, deg in terms)
+            common = lcm(*(scale**top for scale, _ in images))
             acc: dict = {}
-            for mono, p in terms:
-                p *= scale ** (top - sum(mono))
-                for m, c in image(mono).items():
-                    acc[m] = acc.get(m, 0) + p * c
-            den = q * scale**top
+            for scale, image in images:
+                for mono, p, deg in terms:
+                    p *= common // scale**deg
+                    for m, c in image(mono).items():
+                        acc[m] = acc.get(m, 0) + p * c
+            den = q * common * len(images)
             for m, c in acc.items():
                 if not c:
                     continue

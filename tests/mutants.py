@@ -32,7 +32,13 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "classinv"
 COPIED = ("src", "tests", "perfbench/groups")
-FAST_TESTS = ("tests/test_fft.py", "tests/test_dimension_formula.py", "tests/test_integral_kernel.py")
+FAST_TESTS = (
+    "tests/test_fft.py",
+    "tests/test_dimension_formula.py",
+    "tests/test_integral_kernel.py",
+    "tests/test_closure_reference.py",
+    "tests/test_reynolds_reference.py",
+)
 
 
 @dataclass(frozen=True)
@@ -122,6 +128,20 @@ MUTANTS = (
         "if abs(s) != 1",
         "an orbit move carries the sign of its negated variables",
     ),
+    Mutant(
+        "closure-inverse-order",
+        "groups.py",
+        "inverse_of[p] = times(inv_rows, inv_q, [xinv[j::n] for j in range(n)], xq)",
+        "inverse_of[p] = times([xinv[i : i + n] for i in starts], xq, list(zip(*inv_rows)), inv_q)",
+        "the inverse of x s is inv(s) inv(x), which differs from inv(x) inv(s) in a non-abelian group",
+    ),
+    Mutant(
+        "reynolds-common-denominator",
+        "poly.py",
+        "p *= common // scale**deg",
+        "p *= scale ** (top - deg)",
+        "every element's images are brought to the common denominator before they are summed",
+    ),
 )
 
 
@@ -165,7 +185,7 @@ def main(argv: list[str]) -> int:
             t0 = time.monotonic()
             verdict = _run_one(tmp, mutant)
             bad += verdict != "killed"
-            print(f"{mutant.name:<24} {verdict:<10} {time.monotonic() - t0:6.1f} s  ({mutant.breaks})")
+            print(f"{mutant.name:<28} {verdict:<10} {time.monotonic() - t0:6.1f} s  ({mutant.breaks})")
     print(f"{len(chosen) - bad} of {len(chosen)} mutants killed in {time.monotonic() - started:.1f} s")
     return 1 if bad else 0
 

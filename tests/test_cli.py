@@ -815,6 +815,42 @@ class TestArgumentValidation:
         assert code == 1
         assert err == "error: degree must be nonnegative\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--bogus"],
+            ["check", "--group", "o", "--n", "2", "--vectors", "1", "--expr", "s(1,1)", "--bogus"],
+        ],
+        ids=["bare", "full-session"],
+    )
+    def test_unknown_flag_prints_the_commands_usage(self, capsys, argv):
+        # only the command's parser is built, so its usage is the one printed
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: classinv check ")
+
+    @pytest.mark.parametrize("argv", [["chek", "--group", "o"], []], ids=["unknown", "none"])
+    def test_missing_or_unknown_command(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: classinv [-h]")
+
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_max_order_below_one(self, capsys, tmp_path, order):
+        # a cap below 1 would accept no group, or report a negative cap
+        path = tmp_path / "signs.txt"
+        path.write_text("-1\n")
+        code, out, err = run(
+            capsys,
+            "check", "--group", "finite", "--group-file", str(path),
+            "--vectors", "1", "--expr", "x[1,1]^2", "--max-order", order,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --max-order must be at least 1\n"
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

@@ -9,6 +9,12 @@ test.  The groups are signed permutations of n <= 4 coordinates, some
 conjugated by a rational diagonal so that their entries are 2 and 1/2,
 some with an element of infinite order mixed in, and the Weyl groups of
 the benchmark's group files.
+
+The inverse table the walk records (``finite_closure``'s ``inverses``,
+read by ``group_elements`` and a finite group's
+``small_integer_elements``) is checked on the same groups and on the
+half-swap group and the signed 3-cycle: every element's recorded
+inverse is its inverse by elimination, and their product is 1.
 """
 
 from fractions import Fraction
@@ -19,8 +25,17 @@ from hypothesis import given, strategies as st
 
 from classinv.cli import read_matrix_file
 from classinv.exact import Matrix
-from classinv.groups import ClosureCapExceeded, NotFiniteGroup, finite_closure
+from classinv.groups import (
+    ClosureCapExceeded,
+    NotFiniteGroup,
+    finite_closure,
+    finite_group,
+    group_elements,
+    small_integer_elements,
+)
 from reference_closure import finite_closure as reference_closure
+from test_action import SIGNED_3_CYCLE
+from test_fft import _half_swap
 
 GROUP_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "groups"
 
@@ -40,7 +55,21 @@ def outcome(closure, gens, cap):
 def assert_same_closure(gens, cap):
     got = outcome(finite_closure, gens, cap)
     assert got == outcome(reference_closure, gens, cap)
+    if isinstance(got, list):
+        assert_inverse_table(gens, cap, got)
     return got
+
+
+def assert_inverse_table(gens, cap, elems):
+    """The walk's inverse table lists, for each element, the position of
+    the element that is its inverse by elimination."""
+    inverses = []
+    assert finite_closure(gens, cap, inverses) == elems
+    assert len(inverses) == len(elems)
+    ident = Matrix.identity(elems[0].rows)
+    for g, i in zip(elems, inverses):
+        assert g @ elems[i] == ident
+        assert elems[i] == g.inverse()
 
 
 def conjugate(rows, diag):
@@ -115,3 +144,20 @@ def test_shears_refused_by_both(g, cap):
     # shear as infinite
     gens = [Matrix.from_rows([[Fraction(x) for x in row] for row in g])]
     assert assert_same_closure(gens, cap) == ("infinite",)
+
+
+@pytest.mark.parametrize("name", ["a2", "g2", "b3", "half-swap", "signed-3-cycle"])
+def test_group_elements_carry_the_walks_inverses(name):
+    if name == "half-swap":
+        spec = _half_swap()
+    elif name == "signed-3-cycle":
+        spec = finite_group([Matrix.from_rows(SIGNED_3_CYCLE)])
+    else:
+        spec = finite_group(read_matrix_file(str(GROUP_DIR / f"{name}.txt")))
+    elems = group_elements(spec)
+    assert [e.g for e in elems] == reference_closure(spec.generators)
+    ident = Matrix.identity(spec.n)
+    for e in [*elems, *small_integer_elements(spec)]:
+        assert e.g @ e.g_inv == ident
+        assert e.g_inv == e.g.inverse()
+    assert [e.g for e in small_integer_elements(spec)] == list(spec.generators)
