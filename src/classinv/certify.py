@@ -27,16 +27,18 @@ Invariant Theory*, 2nd ed., 2015).
 Kernels are computed block by block: the action rewrites each copy's
 coordinates within the copy, so the per-copy multidegree splits a graded
 piece into independent blocks and no matrix ever reaches the full graded
-dimension.  `_constraint_table` reads each element's kind off g, once
-per signature for a classical list (per call for a finite group's), and
-its moves off `action.substitution`.  The scaled permutations are solved
-together by one integer-weighted walk per monomial orbit before any row
-reduction happens; the other elements then cut the small surviving
-space.  A unipotent one maps each surviving vector to D v, whose terms
-are each monomial's variables moved one at a time, with integer
-coefficients; any other (the 3-4-5 rotation, a finite group's other
-generators) to one `act`, whose substitution builds each monomial's
-image from memoized lower-degree images.
+dimension.  `action.constraint_table` reads each element's kind off g,
+once per signature for a classical list (per call for a finite
+group's), and its moves off `action.substitution`; `is_invariant`
+tests a single polynomial against the same table.  The scaled
+permutations are solved together by one integer-weighted walk per
+monomial orbit before any row reduction happens; the other elements
+then cut the small surviving space.  A unipotent one maps each
+surviving vector to D v, whose terms are each monomial's variables
+moved one at a time, with integer coefficients; any other (the 3-4-5
+rotation, a finite group's other generators) to one `act`, whose
+substitution builds each monomial's image from memoized lower-degree
+images.
 
 Blocks come in copy-permutation classes.  Every vector copy is moved by
 the same g^-1 and every covector copy by the same g^T, so permuting
@@ -103,9 +105,9 @@ from functools import lru_cache
 from math import lcm
 from operator import add, itemgetter, neg, pos, xor
 
-from .action import ActionContext, act, is_invariant, substitution
-from .exact import Echelon, Matrix, add_scaled, ensure, rref
-from .groups import GroupSpec, form_matrix, small_integer_elements
+from .action import ActionContext, _derive, _picker, act, constraint_table, is_invariant, orbit_scale
+from .exact import Echelon, add_scaled, ensure, rref
+from .groups import GroupSpec, form_matrix
 from .poly import (
     DEFAULT_DIM_CAP,
     Monomial,
@@ -115,8 +117,6 @@ from .poly import (
     _exponents_desc,
     check_dim_cap,
     grlex_key,
-    integer_forms,
-    linear_forms,
     mul_terms,
     space_dimension,
     weighted_exponents,
@@ -404,11 +404,6 @@ def _weight_zero_monomials(family: str, sig: SpaceSignature, comps: list) -> lis
     return out
 
 
-def _picker(idx: list):
-    # operator.itemgetter, but returning a tuple for any number of indices
-    return itemgetter(*idx) if len(idx) > 1 else lambda m: tuple([m[v] for v in idx])
-
-
 def _relabelling(sig: SpaceSignature, block: tuple):
     """(pattern, relabel): relabel carries the monomials of the block's
     class representative (see _copy_classes) onto the block, and pattern
@@ -452,8 +447,8 @@ def _orbit_kernel(monos: list[Monomial], moves: list) -> list[dict]:
     """Exact joint kernel of act(g)-id for scaled-permutation elements.
 
     Such an element sends monomial m to c(m) * image(m) (its orbit move,
-    see _constraint_table), so invariance forces a_{image(m)} = c(m) * a_m
-    along every edge.  One walk per orbit gives its first monomial weight
+    see action._constraint_table, scaled by `orbit_scale`), so invariance
+    forces a_{image(m)} = c(m) * a_m along every edge.  One walk per orbit gives its first monomial weight
     1 and every monomial reached the weight the edge forces; reaching a
     monomial again with another weight kills the orbit.  Weights stay
     ints unless a scale has a denominator, and each surviving orbit
@@ -471,10 +466,7 @@ def _orbit_kernel(monos: list[Monomial], moves: list) -> list[dict]:
         for m in orbit:
             w = weight[m]
             for image, scales in moves:
-                p = q = 1
-                for v, num, den in scales:
-                    p *= num ** m[v]
-                    q *= den ** m[v]
+                p, q = orbit_scale(scales, m)
                 c = w * p if q == 1 else Fraction(w * p, q)
                 img = image(m)
                 seen = weight.get(img)
@@ -487,61 +479,6 @@ def _orbit_kernel(monos: list[Monomial], moves: list) -> list[dict]:
             den = lcm(*(weight[m].denominator for m in orbit))
             basis.append({m: weight[m].numerator * (den // weight[m].denominator) for m in orbit})
     return basis
-
-
-def _derive(moves: list, v: dict) -> dict:
-    """D v for an integer vector v, for the derivation D that sends each
-    variable x of `moves` to its form, a tuple of (variable, integer
-    coefficient) pairs, and the others to 0."""
-    acc: dict = {}
-    for m, c in v.items():
-        for x, form in moves:
-            e = m[x]
-            if not e:
-                continue
-            ce = c * e
-            base = m[:x] + (e - 1,) + m[x + 1 :]
-            for u, fc in form:
-                mono = base[:u] + (base[u] + 1,) + base[u + 1 :]
-                acc[mono] = acc.get(mono, 0) + ce * fc
-    return {m: t for m, t in acc.items() if t}
-
-
-def _constraint_table(sig: SpaceSignature, elems: tuple) -> tuple:
-    """How each of elems is imposed, in list order, as (kind, payload),
-    the kind read off g.  "orbit": g is a scaled permutation, and the
-    payload (image, scales) moves monomial m to image(m) times num^e /
-    den^e for each (variable, num, den) in scales, e the variable's
-    exponent in m; scales holds every variable scale other than 1, -1
-    included, as a reduced fraction num / den with den > 0.  "derive":
-    (g - 1)^2 = 0 with g != 1, and the payload is D as `_derive` moves:
-    each variable's form under the substitution of g - 1 (N^T on covector
-    copies, g^-1 - 1 = -N on vector copies), times the lcm of the forms'
-    denominators; every row of a cut shares that scale, so the relations
-    are D's own.  "act": any other element, the payload itself.
-    """
-    one = Matrix.identity(sig.n)
-    table = []
-    for elem in elems:
-        subst = substitution(sig, elem)
-        if all(sum(map(bool, elem.g.row(a))) == 1 for a in range(sig.n)):
-            forms = linear_forms(sig, subst)
-            ensure(all(len(form) == 1 for form in forms), "a scaled permutation mixes variables")
-            scale = [form[0][1] for form in forms]  # variable v goes to scale[v] * x_u
-            src = sorted(range(len(forms)), key=lambda v: forms[v][0][0])  # image[u] = m[v]
-            scales = tuple((v, s.numerator, s.denominator) for v, s in enumerate(scale) if s != 1)
-            table.append(("orbit", (_picker(src), scales)))
-            continue
-        nil = elem.g - one
-        if not any((nil @ nil).entries):
-            _, forms = integer_forms(linear_forms(sig, {c: mat - one for c, mat in subst.items()}))
-            table.append(("derive", tuple((x, form) for x, form in enumerate(forms) if form)))
-        else:
-            table.append(("act", elem))
-    return tuple(table)
-
-
-_TABLES: dict = {}  # the classical families' compiled tables, by (signature, element list)
 
 
 def _cut_rows(ctx: ActionContext, cut: tuple):
@@ -620,11 +557,7 @@ def invariant_subspace_basis(
 
     history = [space_dimension(sig, d)]
 
-    elems = tuple(small_integer_elements(spec))
-    # a finite group's list rests on a closure callers may clear
-    table = _constraint_table(sig, elems) if spec.family == "finite" else _TABLES.get((sig, elems))
-    if table is None:
-        table = _TABLES[sig, elems] = _constraint_table(sig, elems)
+    table = constraint_table(spec, sig)
     moves = [payload for kind, payload in table if kind == "orbit"]
 
     # a finite group's generators may hold no scaled permutation: every
@@ -670,7 +603,7 @@ def invariant_subspace_basis(
     return KernelResult(
         basis=tuple(polys),
         dim=dim,
-        samples_used=len(elems),
+        samples_used=len(table),
         dim_history=tuple(history),
         by_class=tuple((rep, len(classes[rep]), len(b)) for rep, b in zip(reps, block_bases)),
     )

@@ -16,7 +16,8 @@ symmetric-form, and alternating-form contractions and must match the
 session's group family.  Formatting emits graded-lex term order and
 round-trips: parsing a formatted polynomial recovers it exactly.
 Before a product or a power is expanded, the dimension of the degree
-piece it would reach, and the bit length its coefficients would reach,
+piece it would reach, and the bit length its coefficients would reach
+(except for a power of one term with coefficient +-1, which keeps it),
 are checked against the dimension cap.  Every sum, the whole expression
 and each parenthesised one, must also have coefficients that print: no
 more bits than the dimension cap and than Python's digit limit of
@@ -27,10 +28,10 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd
 
-from .certify import SHORTHAND, GeneratorCombination, GeneratorId, contraction
-from .exact import ONE, add_scaled
-from .poly import DEFAULT_DIM_CAP, Polynomial, SpaceSignature, VarKind, check_dim_cap
+from .certify import SHORTHAND, GeneratorCombination, GeneratorId, _integer_terms
+from .poly import DEFAULT_DIM_CAP, Polynomial, SpaceSignature, VarKind, check_dim_cap, collect, mul_terms
 
 _SHORTHAND_FAMILY = {letter: family for family, letter in SHORTHAND.items()}
 _FAMILY_NAME = {"gl": "general linear", "o": "orthogonal", "sp": "symplectic"}
@@ -91,12 +92,19 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
+    """Each value is (terms, den): a dict of nonzero int numerators over
+    one positive denominator, reduced after every product and sum."""
+
     def __init__(self, text: str, sig: SpaceSignature, family: str, dim_cap: int):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.sig = sig
         self.family = family
         self.dim_cap = dim_cap
+        self.one = (0,) * sig.num_vars  # the monomial 1
+        # a degree-0 power such as 2^99999999999 passes the dimension
+        # cap, so coefficient growth is bounded by the same cap, in bits
+        self.growth = f"would reach {{}} bits, above the cap {dim_cap}"
         limit = literal_digit_limit()
         printable = limit * 3321 // 1000  # log2(10) > 3.321 bits per digit
         if limit and printable < dim_cap:
@@ -122,65 +130,77 @@ class _Parser:
         return tok
 
     def parse(self) -> Polynomial:
-        poly = self.expr()
+        value = self.expr()
         tok = self._peek()
         if tok[0] != "end":
             raise ExprSyntaxError("trailing input", tok[2])
-        return poly
+        return Polynomial.from_numerators(self.sig, *value)
 
-    def expr(self) -> Polynomial:
-        # every term is added into one term map, so a long sum is linear
-        total: dict = {}
+    def expr(self) -> tuple:
+        # one integer accumulator per denominator (poly.collect)
+        accs: dict = {}
         start = self._peek()[2]
-        op = self._take()[0] if self._peek()[0] == "-" else "+"
+        sign = -1 if self._peek()[0] == "-" else 1
+        if sign < 0:
+            self._take()
         while True:
-            add_scaled(total, ONE if op == "+" else -ONE, self.term().terms)
+            terms, den = self.term()
+            acc = accs.setdefault(den, {})
+            for m, c in terms.items():
+                acc[m] = acc.get(m, 0) + sign * c
             if self._peek()[0] not in ("+", "-"):
-                result = Polynomial(self.sig, total)
-                # a sum's denominators multiply, so it may pass the cap its terms kept
-                bits = _coefficient_bits(result) if result else 0
-                if bits > self.sum_cap:
-                    raise ExprSyntaxError(
-                        f"coefficients reach {bits} bits, above {self.sum_cap_name}", start
-                    )
-                return result
-            op = self._take()[0]
+                break
+            sign = 1 if self._take()[0] == "+" else -1
+        value = _reduced(*collect(list(accs.items())))
+        if value[0]:
+            # a sum's denominators multiply, so it may pass the cap its terms kept
+            self._check_bits((value,), 1, self.sum_cap, f"reach {{}} bits, above {self.sum_cap_name}", start)
+        return value
 
-    def term(self) -> Polynomial:
+    def term(self) -> tuple:
         acc = self.base_factor()
         while self._peek()[0] == "*":
             self._take()
             tok = self._peek()
             factor = self.base_factor()
-            if acc and factor:
-                check_dim_cap(self.sig, acc.degree() + factor.degree(), self.dim_cap)
-                self._check_bits(_coefficient_bits(acc) + _coefficient_bits(factor), tok[2])
-            acc = acc * factor
+            if acc[0] and factor[0]:
+                check_dim_cap(self.sig, _degree(acc) + _degree(factor), self.dim_cap)
+                self._check_bits((acc, factor), 1, self.dim_cap, self.growth, tok[2])
+            acc = _reduced(mul_terms(acc[0], factor[0]), acc[1] * factor[1])
         return acc
 
-    def base_factor(self) -> Polynomial:
+    def base_factor(self) -> tuple:
         b = self.base()
-        if self._peek()[0] == "^":
-            self._take()
-            tok = self._peek()
-            if tok[0] == "-":
-                raise ExprSyntaxError("negative exponent", tok[2])
-            exp = self._expect("int", "a nonnegative integer exponent")
-            if b:
-                check_dim_cap(self.sig, b.degree() * exp[1], self.dim_cap)
-                self._check_bits(_coefficient_bits(b) * exp[1], exp[2])
-            return b ** exp[1]
-        return b
+        if self._peek()[0] != "^":
+            return b
+        self._take()
+        tok = self._peek()
+        if tok[0] == "-":
+            raise ExprSyntaxError("negative exponent", tok[2])
+        exp = self._expect("int", "a nonnegative integer exponent")
+        (terms, den), e = b, exp[1]
+        if terms:
+            check_dim_cap(self.sig, _degree(b) * e, self.dim_cap)
+            # a single term of coefficient +-1 keeps coefficient +-1
+            if len(terms) > 1 or abs(next(iter(terms.values()))) != den:
+                self._check_bits((b,), e, self.dim_cap, self.growth, exp[2])
+        out = {self.one: 1}
+        while e:  # by squaring
+            if e & 1:
+                out = mul_terms(out, terms)
+            e >>= 1
+            if e:
+                terms = mul_terms(terms, terms)
+        return out, den ** exp[1]
 
-    def _check_bits(self, bits: int, off: int) -> None:
-        # a degree-0 power such as 2^99999999999 passes the dimension
-        # cap, so coefficient growth is bounded by the same cap, in bits
-        if bits > self.dim_cap:
-            raise ExprSyntaxError(
-                f"coefficients would reach {bits} bits, above the cap {self.dim_cap}", off
-            )
+    def _check_bits(self, values: tuple, times: int, cap: int, text: str, off: int) -> None:
+        # the exact count is taken only where a bound on it passes the cap
+        if sum(map(_bits_bound, values)) * times > cap:
+            bits = sum(map(_coefficient_bits, values)) * times
+            if bits > cap:
+                raise ExprSyntaxError("coefficients " + text.format(bits), off)
 
-    def base(self) -> Polynomial:
+    def base(self) -> tuple:
         tok = self._take()
         kind, value, off = tok
         if kind == "-":
@@ -196,16 +216,17 @@ class _Parser:
             return inner
         raise ExprSyntaxError("expected a value", off)
 
-    def _rational(self, numerator: int, off: int) -> Polynomial:
+    def _rational(self, numerator: int, off: int) -> tuple:
+        c = Fraction(numerator)
         if self._peek()[0] == "/":
             self._take()
             den = self._expect("int", "a positive denominator")
             if den[1] == 0:
                 raise ExprSyntaxError("zero denominator", den[2])
-            return Polynomial.constant(self.sig, Fraction(numerator, den[1]))
-        return Polynomial.constant(self.sig, Fraction(numerator))
+            c = Fraction(numerator, den[1])
+        return ({self.one: c.numerator} if c else {}), c.denominator
 
-    def _named(self, name: str, off: int) -> Polynomial:
+    def _named(self, name: str, off: int) -> tuple:
         if name in ("x", "u"):
             self._expect("[", "'['")
             copy = self._expect("int", "a copy index")[1]
@@ -214,7 +235,7 @@ class _Parser:
             self._expect("]", "']'")
             kind = VarKind.VECTOR if name == "x" else VarKind.COVECTOR
             try:
-                return Polynomial.variable(self.sig, kind, copy, coord)
+                return dict.fromkeys(Polynomial.variable(self.sig, kind, copy, coord).terms, 1), 1
             except ValueError as e:
                 raise ExprSyntaxError(f"{e}; indices are 1-based", off) from None
         if name in _SHORTHAND_FAMILY:
@@ -232,18 +253,35 @@ class _Parser:
                     off,
                 )
             try:
-                return contraction(GeneratorId(wanted, i, j), self.sig)
+                return _integer_terms([GeneratorId(wanted, i, j)], self.sig)[0], 1
             except ValueError as e:
                 raise ExprSyntaxError(f"{e}; indices are 1-based", off) from None
         raise ExprSyntaxError(f"unknown name {name!r}", off)
+
+
+def _degree(value: tuple) -> int:
+    return max(map(sum, value[0]))
+
+
+def _reduced(terms: dict, den: int) -> tuple:
+    # the content shared with the denominator divided out; 0 is ({}, 1)
+    g = gcd(den, *terms.values()) if den > 1 else 1
+    return ({m: c // g for m, c in terms.items()}, den // g) if g > 1 else (terms, den)
 
 
 def _fraction_bits(c: Fraction) -> int:
     return max(c.numerator.bit_length(), c.denominator.bit_length())
 
 
-def _coefficient_bits(p: Polynomial) -> int:
-    return max(map(_fraction_bits, p.terms.values()))
+def _bits_bound(value: tuple) -> int:
+    # a reduced coefficient c / den has no more bits than c or den
+    terms, den = value
+    return max(max(terms.values()).bit_length(), min(terms.values()).bit_length(), den.bit_length())
+
+
+def _coefficient_bits(value: tuple) -> int:
+    terms, den = value
+    return max(_fraction_bits(Fraction(c, den)) for c in terms.values())
 
 
 def parse_expression(

@@ -153,6 +153,21 @@ def mul_terms(a: Mapping, b: Mapping) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
+def collect(parts: list) -> tuple[dict, int]:
+    """The sum of acc / q over (q, acc) pairs, acc a term dict of ints,
+    as (nonzero int numerators, L) over L, the lcm of the qs."""
+    if len(parts) == 1:
+        ((den, acc),) = parts
+        return {m: c for m, c in acc.items() if c}, den
+    den = lcm(*(q for q, _ in parts))
+    out: dict = {}
+    for q, acc in parts:
+        s = den // q
+        for m, c in acc.items():
+            out[m] = out.get(m, 0) + s * c
+    return {m: c for m, c in out.items() if c}, den
+
+
 def grlex_key(mono: Monomial) -> tuple:
     """Sort key: graded first, lex inside a degree; use reverse=True for leading-first."""
     return (sum(mono), mono)
@@ -277,6 +292,11 @@ class Polynomial:
         mono = tuple(1 if i == idx else 0 for i in range(sig.num_vars))
         return cls(sig, {mono: ONE})
 
+    @classmethod
+    def from_numerators(cls, sig: SpaceSignature, nums: Mapping, den: int) -> "Polynomial":
+        """The polynomial with terms nums / den: one division per term."""
+        return cls(sig, {m: Fraction(c, den) for m, c in nums.items()})
+
     # -- ring structure --------------------------------------------------
 
     def _need_same_sig(self, other: "Polynomial") -> None:
@@ -371,15 +391,16 @@ class Polynomial:
         coefficient.  With top the class's largest degree, D an
         assignment's scale and L the lcm of every D^top, term p/q * m adds
         p * (L / D^deg m) * image(m) per assignment, all over
-        q * L * len(assigns): one denominator per class, one division per
-        output term.  (One lcm over every coefficient would make the
-        numerators of f as long as all its denominators together.)
+        q * L * len(assigns): one integer accumulator per class, which
+        `collect` brings over one denominator, and one division per output
+        term.  (One lcm over every coefficient of f would make its
+        numerators as long as all its denominators together.)
         """
         images = [linear_images(self.sig, assign) for assign in assigns]
         classes: dict = {}
         for mono, coeff in self.terms.items():
             classes.setdefault(coeff.denominator, []).append((mono, coeff.numerator, sum(mono)))
-        out: dict = {}
+        parts = []
         for q, terms in classes.items():
             top = max(deg for _, _, deg in terms)
             common = lcm(*(scale**top for scale, _ in images))
@@ -389,18 +410,8 @@ class Polynomial:
                     p *= common // scale**deg
                     for m, c in image(mono).items():
                         acc[m] = acc.get(m, 0) + p * c
-            den = q * common * len(images)
-            for m, c in acc.items():
-                if not c:
-                    continue
-                c = Fraction(c, den)
-                if m in out:
-                    c += out[m]
-                    if not c:
-                        del out[m]
-                        continue
-                out[m] = c
-        return Polynomial(self.sig, out)
+            parts.append((q * common * len(images), acc))
+        return Polynomial.from_numerators(self.sig, *collect(parts))
 
     # -- presentation ----------------------------------------------------
 

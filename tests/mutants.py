@@ -38,6 +38,8 @@ FAST_TESTS = (
     "tests/test_integral_kernel.py",
     "tests/test_closure_reference.py",
     "tests/test_reynolds_reference.py",
+    "tests/test_parse_reference.py",
+    "tests/test_invariance_reference.py",
 )
 
 
@@ -123,7 +125,7 @@ MUTANTS = (
     ),
     Mutant(
         "orbit-sign",
-        "certify.py",
+        "action.py",
         "if s != 1",
         "if abs(s) != 1",
         "an orbit move carries the sign of its negated variables",
@@ -141,6 +143,20 @@ MUTANTS = (
         "p *= common // scale**deg",
         "p *= scale ** (top - deg)",
         "every element's images are brought to the common denominator before they are summed",
+    ),
+    Mutant(
+        "invariant-skips-derive",
+        "action.py",
+        "if _derive(payload, ints):",
+        "if False:",
+        "is_invariant imposes the shears and the sp transvection through their derivations",
+    ),
+    Mutant(
+        "parse-product-denominator",
+        "expr.py",
+        "acc = _reduced(mul_terms(acc[0], factor[0]), acc[1] * factor[1])",
+        "acc = _reduced(mul_terms(acc[0], factor[0]), acc[1])",
+        "a parsed product's denominator is the product of its factors' denominators",
     ),
 )
 

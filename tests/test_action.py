@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from classinv import certify
+from classinv import action, certify
 from classinv.action import (
     ActionContext,
     act,
@@ -258,7 +258,7 @@ class TestExactAgainstSampled:
         y = Polynomial.variable(ctx.sig, VarKind.VECTOR, 1, 2)
         f = x**4 + y**4
         moved = [e for e in small_integer_elements(ctx.spec) if act(ctx, e, f) != f]
-        assert [kind for kind, _ in certify._constraint_table(ctx.sig, tuple(moved))] == ["act"]
+        assert [kind for kind, _ in action._constraint_table(ctx.sig, tuple(moved))] == ["act"]
         assert not is_invariant(ctx, f)
 
     @pytest.mark.parametrize(
@@ -273,7 +273,7 @@ class TestExactAgainstSampled:
         # a vector the orbit stage and every cut but the last one keep
         ctx = ActionContext(spec, sig)
         elems = small_integer_elements(spec)
-        table = certify._constraint_table(sig, tuple(elems))
+        table = action._constraint_table(sig, tuple(elems))
         moves = [move for kind, move in table if kind == "orbit"]
         generic = [(e, cut) for e, cut in zip(elems, table) if cut[0] != "orbit"]
         last = generic[-1][0]
@@ -296,7 +296,7 @@ SIGNED_3_CYCLE = [[0, 0, 1], [1, 0, 0], [0, -1, 0]]
 
 class TestVariableMap:
     """The kernel's monomial moves (the "orbit" entries of
-    certify._constraint_table) against act, one monomial at a time, on
+    action._constraint_table) against act, one monomial at a time, on
     every element compiled to one."""
 
     @staticmethod
@@ -318,7 +318,7 @@ class TestVariableMap:
         ctx = ActionContext(spec, sig)
         # every element of the finite group, not only its generator
         elems = group_elements(spec) if spec.family == "finite" else small_integer_elements(spec)
-        table = certify._constraint_table(sig, tuple(elems))
+        table = action._constraint_table(sig, tuple(elems))
         maps = [(e, move) for e, (kind, move) in zip(elems, table) if kind == "orbit"]
         if spec.family == "finite":
             assert len(maps) == len(elems) == 6  # g^3 = -1

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from classinv import certify
+from classinv import action, certify
 from classinv.exact import ConsistencyError, Matrix
 from classinv.groups import (
     GroupElement,
@@ -41,7 +41,7 @@ def test_each_listed_element_compiles_to_its_kind(family, n):
     for k, m in ((0, 1), (0, 3), (2, 1)):
         if family != "gl" and k:
             continue
-        table = certify._constraint_table(SpaceSignature(n, k, m), elems)
+        table = action._constraint_table(SpaceSignature(n, k, m), elems)
         assert [kind for kind, _ in table] == EXPECTED_KINDS[family](n)
         for elem, (kind, payload) in zip(elems, table):
             if kind == "act":
@@ -54,48 +54,48 @@ def test_a_scaled_permutation_whose_substitution_mixes_variables_is_refused():
     swap = Matrix.from_rows([[0, 1], [1, 0]])
     shear = Matrix.from_rows([[1, 1], [0, 1]])
     with pytest.raises(ConsistencyError, match="mixes variables"):
-        certify._constraint_table(SpaceSignature(2, 0, 1), (GroupElement(swap, shear),))
+        action._constraint_table(SpaceSignature(2, 0, 1), (GroupElement(swap, shear),))
 
 
 def _counting(monkeypatch):
     calls = []
-    compile_table = certify._constraint_table
+    compile_table = action._constraint_table
 
     def counted(sig, elems):
         calls.append(elems)
         return compile_table(sig, elems)
 
-    monkeypatch.setattr(certify, "_constraint_table", counted)
+    monkeypatch.setattr(action, "_constraint_table", counted)
     return calls
 
 
 def test_classical_tables_are_cached_on_the_element_list(monkeypatch):
     spec, sig = symplectic(4), SpaceSignature(4, 0, 3)
-    monkeypatch.setattr(certify, "_TABLES", {})
+    monkeypatch.setattr(action, "_TABLES", {})
     calls = _counting(monkeypatch)
     dims = [certify.invariant_subspace_basis(spec, sig, d).dim for d in (2, 4, 4)]
     assert dims == [3, 6, 6]
-    assert len(calls) == 1 and len(certify._TABLES) == 1
+    assert len(calls) == 1 and len(action._TABLES) == 1
     # another element list, as a patched small_integer_elements returns,
     # misses the cache: imposing nothing keeps every weight-zero monomial
-    monkeypatch.setattr(certify, "small_integer_elements", lambda spec: [])
+    monkeypatch.setattr(action, "small_integer_elements", lambda spec: [])
     assert certify.invariant_subspace_basis(spec, sig, 4).dim == 153
-    assert len(calls) == 2 and len(certify._TABLES) == 2
+    assert len(calls) == 2 and len(action._TABLES) == 2
 
 
 def test_finite_tables_are_compiled_per_call(monkeypatch):
     spec = finite_group([Matrix.from_rows([[0, -1], [1, -1]])])
-    monkeypatch.setattr(certify, "_TABLES", {})
+    monkeypatch.setattr(action, "_TABLES", {})
     calls = _counting(monkeypatch)
     for _ in range(2):
         certify.invariant_subspace_basis(spec, SpaceSignature(2, 0, 1), 3)
-    assert len(calls) == 2 and certify._TABLES == {}
+    assert len(calls) == 2 and action._TABLES == {}
 
 
 def test_importing_builds_no_table():
     probe = (
-        "import classinv; from classinv import certify; "
-        "print(len(certify._TABLES), certify._copy_exponents.cache_info().currsize)"
+        "import classinv; from classinv import action, certify; "
+        "print(len(action._TABLES), certify._copy_exponents.cache_info().currsize)"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(

@@ -1,7 +1,7 @@
 """Unipotent constraint elements imposed through their derivation.
 
 For u = 1 + N with N^2 = 0 the substitution of `act` is exp(D), D the
-derivation `certify._constraint_table` reads off the same substitution,
+derivation `action._constraint_table` reads off the same substitution,
 and u fixes exactly the polynomials D kills.  The kernels cut by D must
 therefore match the kernels cut by act(u) - 1 step by step.
 """
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from classinv import certify
+from classinv import action, certify
 from classinv.action import ActionContext, act
 from classinv.cli import read_matrix_file
 from classinv.exact import Matrix, add_scaled, rref
@@ -38,14 +38,14 @@ _MAKE = {"sp": symplectic, "gl": general_linear}
 
 
 def _kinds(sig, elems):
-    return [kind for kind, _ in certify._constraint_table(sig, tuple(elems))]
+    return [kind for kind, _ in action._constraint_table(sig, tuple(elems))]
 
 
 def _unipotent(spec, sig=None):
     """(element, its "derive" table entry) for each listed element
     compiled to a derivation, by default on one vector copy."""
     elems = small_integer_elements(spec)
-    table = certify._constraint_table(sig or SpaceSignature(spec.n, 0, 1), tuple(elems))
+    table = action._constraint_table(sig or SpaceSignature(spec.n, 0, 1), tuple(elems))
     return [(e, cut) for e, cut in zip(elems, table) if cut[0] == "derive"]
 
 
@@ -128,7 +128,7 @@ def test_derivation_cuts_match_act_cuts(family, n, k, m):
     spec, sig = _MAKE[family](n), SpaceSignature(n, k, m)
     ctx = ActionContext(spec, sig)
     elems = small_integer_elements(spec)
-    table = certify._constraint_table(sig, tuple(elems))
+    table = action._constraint_table(sig, tuple(elems))
     moves = [move for kind, move in table if kind == "orbit"]
     cuts = [(e, cut) for e, cut in zip(elems, table) if cut[0] != "orbit"]
     assert [cut[0] for _, cut in cuts] == ["derive"] * len(cuts)

@@ -180,6 +180,28 @@ class TestPrintableCoefficients:
         assert exc.value.offset == 1
         assert "above the cap 50" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text,want",
+        [("1^300000", 1), ("(-1)^300000", 1), ("(-1)^300001", -1), ("x[1,1] * 1^300000", None)],
+    )
+    def test_a_unit_power_of_one_term_keeps_a_unit_coefficient(self, text, want):
+        # its coefficient stays +-1, so no bit count can grow
+        f = parse_expression(text, OSIG, "o")
+        if want is None:
+            assert f == vvar(OSIG, 1, 1)
+        else:
+            assert f == Polynomial.constant(OSIG, want)
+
+    @pytest.mark.parametrize(
+        "text,offset,bits", [("2^300000", 2, 600000), ("(1 + x[1,1])^300000", 13, 300000)]
+    )
+    def test_other_powers_keep_the_bit_cap(self, text, offset, bits):
+        sig = SpaceSignature(n=1, k=0, m=1)  # one variable: the dimension cap never refuses
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expression(text, sig, "o")
+        assert exc.value.offset == offset
+        assert f"would reach {bits} bits, above the cap 200000" in str(exc.value)
+
     def test_output_beyond_the_limit_is_refused_in_our_words(self):
         assert coefficient_text(Fraction(-2**14279, 3)) == str(Fraction(-2**14279, 3))
         with pytest.raises(ValueError) as exc:

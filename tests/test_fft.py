@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from classinv import certify
+from classinv import action, certify
 from classinv.action import ActionContext, act, is_invariant
 from classinv.certify import (
     GeneratorId,
@@ -321,7 +321,7 @@ class TestOrbitStage:
         sig = SpaceSignature(n=spec.n, k=k, m=m)
         ctx = ActionContext(spec, sig)
         elems = small_integer_elements(spec)
-        table = certify._constraint_table(sig, tuple(elems))
+        table = action._constraint_table(sig, tuple(elems))
         pairs = [(e, move) for e, (kind, move) in zip(elems, table) if kind == "orbit"]
         assert pairs
         total = 0
@@ -344,7 +344,7 @@ class TestCopyClasses:
     @staticmethod
     def direct_blocks(spec, sig, d):
         ctx = ActionContext(spec, sig)
-        table = certify._constraint_table(sig, tuple(small_integer_elements(spec)))
+        table = action._constraint_table(sig, tuple(small_integer_elements(spec)))
         moves = [move for kind, move in table if kind == "orbit"]
         out = {}
         for comp in _exponents_desc(sig.num_copies, d):

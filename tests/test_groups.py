@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from classinv import groups
-from classinv.certify import _constraint_table, invariant_subspace_basis
+from classinv.action import _constraint_table
+from classinv.certify import invariant_subspace_basis
 from classinv.exact import Echelon, Matrix, SingularMatrixError
 from classinv.groups import (
     ClosureCapExceeded,

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from classinv import certify
+from classinv import action, certify
 from classinv.exact import Matrix
 from classinv.groups import finite_group, general_linear, orthogonal, symplectic
 from classinv.poly import SpaceSignature
@@ -73,8 +73,8 @@ def test_scaled_permutation_orbit_is_scaled_to_integers():
     # x1^2 + x2^2 / 4 is returned as 4 x1^2 + x2^2
     g = Matrix.from_rows([[0, 2], [Fraction(1, 2), 0]])
     sig = SpaceSignature(2, 0, 1)
-    (elem,) = certify.small_integer_elements(finite_group([g]))
-    ((kind, move),) = certify._constraint_table(sig, (elem,))
+    (elem,) = action.small_integer_elements(finite_group([g]))
+    ((kind, move),) = action._constraint_table(sig, (elem,))
     assert kind == "orbit"
     basis = certify._orbit_kernel([(2, 0), (0, 2)], [move])
     assert len(basis) == 1

@@ -1,8 +1,10 @@
 """The benchmark's own self-tests, run with the suite.
 
 They pin that the kernel reaches `act` and `rref` through `certify`'s
-names, and a finite group's CLI job reaches `finite_closure` through
-`group_elements`, which the benchmark's per-layer trace wraps.
+names, a finite group's CLI job reaches `finite_closure` through
+`group_elements`, and a `check` job reaches `parse_expression`,
+`is_invariant` and, below it, `act`, which the benchmark's per-layer
+trace wraps.
 """
 
 import importlib.util
@@ -60,3 +62,26 @@ def test_reynolds_job_traces_the_closure_below_group_elements(capsys):
         ancestors.append(span[tracing.NAME])
     assert "group_elements" in ancestors
     assert tracing.layer_metrics(spans)["groups.closure_s"] > 0
+
+
+def test_check_job_traces_parse_and_invariance_with_the_rotation_below(capsys):
+    # the per-layer metrics expr.parse_calls, action.is_invariant_s and
+    # action.act_s read these spans; the o(2) rotation is the one
+    # element is_invariant still imposes through act
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        code = main([
+            "check", "--group", "o", "--n", "2", "--vectors", "2",
+            "--expr", "s(1,1)*s(2,2) - 1/3*s(1,2)^2", "--format", "json",
+        ])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["invariant"] is True
+    spans = tracer.take()
+    names = [s[tracing.NAME] for s in spans]
+    assert "parse_expression" in names
+    check = names.index("is_invariant")
+    below = [s for s in spans if s[tracing.NAME] == "act" and s[tracing.PARENT] == check]
+    assert len(below) == 1
+    metrics = tracing.layer_metrics(spans)
+    assert metrics["expr.parse_calls"] == 1 and metrics["action.act_calls"] == 1

@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from classinv import action, certify
+from classinv import action
 from classinv.action import ActionContext, is_invariant
 from classinv.certify import invariant_subspace_basis, minimal_generator_degrees
 from classinv.cli import read_matrix_file
@@ -86,7 +86,6 @@ def _cell_id(cell):
 
 
 def _under_reference(monkeypatch):
-    monkeypatch.setattr(certify, "small_integer_elements", reference_elements)
     monkeypatch.setattr(action, "small_integer_elements", reference_elements)
 
 
