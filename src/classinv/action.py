@@ -17,10 +17,9 @@ kernels of `certify` and `is_invariant` impose the same table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from operator import itemgetter
 
-from .exact import Matrix, ensure
+from .exact import Matrix, ensure, numerators
 from .groups import (
     GroupElement,
     GroupSpec,
@@ -158,8 +157,7 @@ def is_invariant(ctx: ActionContext, f: Polynomial) -> bool:
     """
     if f.sig != ctx.sig:
         raise ValueError("polynomial signature does not match the context")
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    ints = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
+    _, ints = numerators(f.terms)
     for kind, payload in constraint_table(ctx.spec, ctx.sig):
         if kind == "orbit":
             image, scales = payload

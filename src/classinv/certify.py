@@ -102,11 +102,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import combinations, combinations_with_replacement, product
 from operator import add, itemgetter, neg, pos, xor
 
 from .action import ActionContext, _derive, _picker, act, constraint_table, is_invariant, orbit_scale
-from .exact import Echelon, add_scaled, ensure, rref
+from .exact import Echelon, add_scaled, ensure, numerators, rref
 from .groups import GroupSpec, form_matrix
 from .poly import (
     DEFAULT_DIM_CAP,
@@ -205,25 +205,15 @@ def contraction(gen: GeneratorId, sig: SpaceSignature) -> Polynomial:
 def generators_for(spec: GroupSpec, sig: SpaceSignature) -> list[GeneratorId]:
     """The canonical generator list: all contractions the group's theorem
     provides, in row-major index order."""
-    if spec.family == "gl":
-        return [
-            GeneratorId("gl", i, j)
-            for i in range(1, sig.k + 1)
-            for j in range(1, sig.m + 1)
-        ]
-    if spec.family == "o":
-        return [
-            GeneratorId("o", i, j)
-            for i in range(1, sig.m + 1)
-            for j in range(i, sig.m + 1)
-        ]
-    if spec.family == "sp":
-        return [
-            GeneratorId("sp", i, j)
-            for i in range(1, sig.m + 1)
-            for j in range(i + 1, sig.m + 1)
-        ]
-    raise ValueError("finite groups have no contraction generators")
+    vectors = range(1, sig.m + 1)
+    pairs = {
+        "gl": product(range(1, sig.k + 1), vectors),
+        "o": combinations_with_replacement(vectors, 2),
+        "sp": combinations(vectors, 2),
+    }.get(spec.family)
+    if pairs is None:
+        raise ValueError("finite groups have no contraction generators")
+    return [GeneratorId(spec.family, i, j) for i, j in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +466,7 @@ def _orbit_kernel(monos: list[Monomial], moves: list) -> list[dict]:
                 elif seen != c:
                     alive = False
         if alive:
-            den = lcm(*(weight[m].denominator for m in orbit))
-            basis.append({m: weight[m].numerator * (den // weight[m].denominator) for m in orbit})
+            basis.append(numerators({m: weight[m] for m in orbit})[1])
     return basis
 
 
@@ -665,7 +654,8 @@ def fft_verify(
         raise ValueError(
             "orthogonal and symplectic sessions use vector copies only"
         )
-    check_dim_cap(sig, d, dim_cap)
+    # the degree-2 piece bounds the contractions listed and expanded below
+    check_dim_cap(sig, max(d, 2), dim_cap)
     free = _product_count([2] * len(generators_for(spec, sig)), d, dim_cap)
     kr = invariant_subspace_basis(spec, sig, d, dim_cap=dim_cap)
     by_class = _class_spans(spec, sig, d, {rep: size for rep, size, _ in kr.by_class})
@@ -716,12 +706,16 @@ def decompose_in_generators(
 ) -> GeneratorCombination:
     """Write a homogeneous invariant as a polynomial in the contractions.
 
-    The elimination is the proof of invariance: a zero residual writes f
-    as a combination of contractions, each exactly invariant.  Only a
-    nonzero residual calls `action.is_invariant`, to tell a polynomial
-    moved by a group element (NotInvariant) from a defect (NotInSpan).
-    So the refusals come in this order: a finite group (from
-    `generators_for`), more than dim_cap products of f's degree
+    The elimination is the proof of invariance: the products are inserted
+    tagged, f last, and f in their span gives the last relation
+    a f + sum c_i product_i = 0, so f = sum (-c_i / a) product_i, each
+    product exactly invariant; this is how `_generic_cut` reads its
+    kernels.  Only an f that adds a pivot calls `action.is_invariant`, to
+    tell a polynomial moved by a group element (NotInvariant) from a
+    defect (NotInSpan, carrying f's primitive reduced row).  So the
+    refusals come in this order: a degree-2 piece above dim_cap
+    (DegreeCapExceeded, before any contraction is listed), a finite group
+    (from `generators_for`), more than dim_cap products of f's degree
     (ProductCapExceeded, before any is expanded, even for a moved f),
     then NotInvariant.
 
@@ -737,6 +731,7 @@ def decompose_in_generators(
         raise ValueError("polynomial signature does not match")
     if not f.is_homogeneous():
         raise ValueError("decomposition needs a homogeneous polynomial")
+    check_dim_cap(sig, 2, dim_cap)
     gens = tuple(generators_for(spec, sig))
     if not f:
         return GeneratorCombination(gens, (), sig)
@@ -748,18 +743,19 @@ def decompose_in_generators(
     for exps, _, terms in _products(sig, _integer_terms(gens, sig), [2] * len(gens), d, blocks):
         echelon.insert(terms, len(products))
         products.append(exps)
-    # f + sum combo[i] * product_i = residual
-    residual, combo = echelon.reduce(f.terms, {})
-    if residual:
+    if echelon.insert(f.terms, "f"):
         if not is_invariant(ActionContext(spec, sig), f):
             raise NotInvariant("polynomial is moved by a group element")
         # only a defect gets here: f is invariant and the FFT holds
         sizes = {rep: len(blocks) for rep, blocks in _copy_classes(sig, d).items()}
         dim_span = sum(size * rank for _, size, rank in _class_spans(spec, sig, d, sizes))
-        raise NotInSpan(Polynomial(sig, residual), dim_span)
+        row = next(row for row, combo in echelon.pivots.values() if "f" in combo)
+        raise NotInSpan(Polynomial(sig, row), dim_span)
+    relation = echelon.relations[-1]
+    a = relation.pop("f")
     terms = tuple(
         sorted(
-            ((products[i], -c) for i, c in combo.items()),
+            ((products[i], Fraction(-c, a)) for i, c in relation.items()),
             key=lambda t: grlex_key(t[0]),
             reverse=True,
         )
@@ -815,9 +811,8 @@ def minimal_generator_degrees(
             added = 0
             for b in kr.basis:
                 if echelon.insert(b.terms):
-                    # b's lead is 1, so den * b is a primitive integer row
-                    den = lcm(*(c.denominator for c in b.terms.values()))
-                    found.append((d, {m: int(c * den) for m, c in b.terms.items()}))
+                    # b's lead is 1, so its numerators are a primitive integer row
+                    found.append((d, numerators(b.terms)[1]))
                     added += 1
             ensure(added == new, f"degree {d}: {added} new generators, {new} expected")
     degrees = tuple(sorted(dg for dg, _ in found))

@@ -50,7 +50,7 @@ from .groups import (
     group_elements,
     small_integer_elements,
 )
-from .poly import DEFAULT_DIM_CAP, SpaceSignature, space_dimension
+from .poly import DEFAULT_DIM_CAP, SpaceSignature, check_dim_cap, space_dimension
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -239,6 +239,7 @@ def cmd_basis(args, spec, sig):
 
 
 def cmd_generators(args, spec, sig):
+    check_dim_cap(sig, 2, args.dim_cap)  # the contractions span the degree-2 piece
     gens = [(g.symbol(), contraction(g, sig)) for g in generators_for(spec, sig)]
     if args.format == "json":
         listed = [{"id": sym, "polynomial": terms_json(polynomial_terms(p))} for sym, p in gens]

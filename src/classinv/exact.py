@@ -7,8 +7,8 @@ elimination in the package runs through one sparse engine, ``Echelon``;
 are thin dense views of it.  ``Echelon`` is fraction-free: its rows are
 primitive integer rows, and a ``fractions.Fraction`` (always reduced,
 positive denominator) appears only in what it hands back, the reduced
-rows and the results of ``reduce``.  A ``Matrix`` holds ``Fraction``
-entries.
+rows.  ``numerators`` turns rational values into integer ones.  A
+``Matrix`` holds ``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -195,9 +195,11 @@ def add_scaled(row: dict, c, other: dict) -> None:
             row.pop(m, None)
 
 
-def _integral(values: dict, den: int) -> dict:
-    # den * values as ints, zeros dropped; den is a multiple of every denominator
-    return {m: c.numerator * (den // c.denominator) for m, c in values.items() if c}
+def numerators(values: dict) -> tuple[int, dict]:
+    """(L, L * values as ints, zeros dropped), L the lcm of the values'
+    denominators; values are ints or Fractions."""
+    den = lcm(*(c.denominator for c in values.values()))
+    return den, {m: c.numerator * (den // c.denominator) for m, c in values.items() if c}
 
 
 def _scale(row: dict, a: int) -> None:
@@ -223,8 +225,8 @@ class Echelon:
     *Math. Comp.* 22, 1968; Geddes, Czapor and Labahn, *Algorithms for
     Computer Algebra*, 1992).  Each pivot row is a nonzero multiple of
     the pivot row a rational elimination with leading 1s would store, so
-    ``reduced_rows`` and ``reduce`` return exactly its results; those two
-    are the only places a ``Fraction`` is made.
+    ``reduced_rows`` returns exactly its results; it is the only place a
+    ``Fraction`` is made.
 
     A row inserted with a ``tag`` carries, as an integer dict scaled with
     the row, the combination of inserted rows it equals: a row scaled by
@@ -232,7 +234,8 @@ class Echelon:
     the primitive integer combination ``{tag: coefficient}`` of inserted
     rows that sums to the zero row is appended to ``relations``; there
     are as many relations as tagged rows minus the rank.  Tagged and
-    untagged rows do not mix in one instance.
+    untagged rows do not mix in one instance.  A row is in the span of
+    the rows so far exactly when ``insert`` adds no pivot for it.
     """
 
     __slots__ = ("pivots", "relations")
@@ -245,11 +248,9 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _eliminate(self, row: dict, combo: dict | None) -> int:
+    def _eliminate(self, row: dict, combo: dict | None) -> None:
         """Cancel pivot leads of the integer row, in place, until its lead
-        is no pivot; the combination is scaled and reduced alongside.
-        Returns the factor the row was multiplied by."""
-        mult = 1
+        is no pivot; the combination is scaled and reduced alongside."""
         pivots = self.pivots
         while row:
             lead = max(row)
@@ -260,37 +261,16 @@ class Echelon:
             a, b = prow[lead], row[lead]
             g = gcd(a, b)
             a, b = a // g, -b // g
-            mult *= a
             _scale(row, a)
             add_scaled(row, b, prow)
             if combo is not None:
                 _scale(combo, a)
                 add_scaled(combo, b, pcombo)
-        return mult
-
-    def reduce(self, row: dict, combo: dict | None = None) -> tuple[dict, dict | None]:
-        """Cancel pivot leads until the lead of the row is no pivot.
-
-        Returns (remainder, combination) as ``Fraction`` dicts: the
-        remainder equals ``row`` plus the sum of combination[t] times
-        inserted row t, where the combination starts from ``combo`` (None
-        tracks nothing).  Both are computed in integers and divided once.
-        """
-        values = [*row.values(), *(combo or {}).values()]
-        den = lcm(*(c.denominator for c in values))
-        row = _integral(row, den)
-        if combo is not None:
-            combo = _integral(combo, den)
-        den *= self._eliminate(row, combo)
-        if combo is not None:
-            combo = {t: Fraction(c, den) for t, c in combo.items()}
-        return {m: Fraction(c, den) for m, c in row.items()}, combo
 
     def insert(self, row: dict, tag=None) -> bool:
         """Add a row.  Returns whether it was independent of the rows so
         far, that is, whether it added a pivot."""
-        den = lcm(*(c.denominator for c in row.values()))
-        row = _integral(row, den)
+        den, row = numerators(row)
         combo = None if tag is None else {tag: den}
         self._eliminate(row, combo)
         if not row:

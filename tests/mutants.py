@@ -158,6 +158,13 @@ MUTANTS = (
         "acc = _reduced(mul_terms(acc[0], factor[0]), acc[1])",
         "a parsed product's denominator is the product of its factors' denominators",
     ),
+    Mutant(
+        "decompose-relation-scale",
+        "certify.py",
+        "Fraction(-c, a)",
+        "Fraction(-c)",
+        "f's relation a f + sum c_i product_i = 0 gives the coefficients -c_i / a",
+    ),
 )
 
 

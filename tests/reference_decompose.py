@@ -2,10 +2,11 @@
 
 Every degree-d product of the contraction generators is expanded, in
 graded-lex order of its exponent vector, and inserted with its index as
-tag into one `Echelon`; f is reduced against all of them.  This is how
-`decompose_in_generators` worked before it expanded only the products
-in the blocks of f's monomials.  It enumerates the products itself, so
-the library's block filter is checked against a path that has none.
+tag into one rational `Echelon` of the tests' own
+(`tests/reference_echelon.py`); f is reduced against all of them.  It
+enumerates the products itself and eliminates them apart from the
+library's engine, so the library's block filter and its reading of f's
+relation are checked against a path that has neither.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from classinv.certify import contraction, generators_for
-from classinv.exact import Echelon
 from classinv.poly import Polynomial, _exponents_desc, grlex_key
+from reference_echelon import Echelon
 
 
 @lru_cache(maxsize=4)  # a test asks for one cell several times in a row

@@ -3,8 +3,10 @@
 Every pivot row is scaled to a leading 1 and every coefficient is a
 ``fractions.Fraction``.  It is kept as the reference that
 ``tests/test_echelon_reference.py`` checks the fraction-free engine
-against: both must find the same ranks, the same reduced rows and the
-same ``reduce`` results.
+against: both must find the same ranks and the same reduced rows, and a
+probe must add a pivot to one exactly when its ``reduce`` remainder in
+the other is nonzero.  ``reduce`` also writes f in the products for
+``tests/reference_decompose.py``, apart from the library's engine.
 """
 
 from __future__ import annotations

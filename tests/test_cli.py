@@ -262,6 +262,32 @@ class TestProductCap:
         assert err == f"error: {reason}\n"
 
 
+class TestContractionCap:
+    """The contractions span the degree-2 piece, so it is checked against
+    --dim-cap before they are listed or expanded, at every degree:
+    generators, and fft-verify and decompose at degree 0 and 1, would
+    otherwise build millions of terms before any cap is read."""
+
+    @pytest.mark.parametrize(
+        "argv,dim",
+        [
+            (("generators", "--vectors", "1200"), 720600),
+            (("fft-verify", "--vectors", "2000", "--degree", "0"), 2001000),
+            (("fft-verify", "--vectors", "2000", "--degree", "1"), 2001000),
+            (("decompose", "--vectors", "2000", "--expr", "1"), 2001000),
+            (("decompose", "--vectors", "2000", "--expr", "x[1,1]"), 2001000),
+        ],
+        ids=["generators", "fft-verify-0", "fft-verify-1", "decompose-0", "decompose-1"],
+    )
+    def test_refused_at_once(self, capsys, argv, dim):
+        command, *rest = argv
+        t0 = time.monotonic()
+        code, _, err = run(capsys, command, "--group", "o", "--n", "1", *rest)
+        assert time.monotonic() - t0 < 1
+        assert code == 1
+        assert err == f"error: graded piece has dimension {dim}, above the cap 200000\n"
+
+
 class TestBasis:
     def test_sum_of_squares(self, capsys):
         code, data, _ = run_json(

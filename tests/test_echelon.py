@@ -113,13 +113,15 @@ def test_relations_sum_to_zero(seed):
         assert not any(total.values())
 
 
-def test_reduce_tracks_the_combination():
+def test_tagged_insert_tracks_the_combination():
     rows = [{(2,): Fraction(1), (0,): Fraction(3)}, {(1,): Fraction(2)}]
     echelon = Echelon()
     for i, row in enumerate(rows):
         assert echelon.insert(row, i)
-    # f = 2*rows[0] - rows[1]: the remainder is f + combo . rows = 0
+    # f = 2*rows[0] - rows[1] adds no pivot; its relation a f + c . rows = 0
+    # gives f = -c / a . rows
     f = {(2,): Fraction(2), (1,): Fraction(-2), (0,): Fraction(6)}
-    residual, combo = echelon.reduce(f, {})
-    assert residual == {}
-    assert combo == {0: -2, 1: 1}
+    assert not echelon.insert(f, "f")
+    relation = dict(echelon.relations[-1])
+    a = relation.pop("f")
+    assert {i: Fraction(-c, a) for i, c in relation.items()} == {0: 2, 1: -1}

@@ -3,9 +3,10 @@ replaced (``tests/reference_echelon.py``).
 
 Both eliminate the same sparse rows, tagged and untagged, whose values
 mix ``int`` and ``Fraction``, some with 256-bit denominators.  They must
-agree on every insert, the rank, the reduced rows and every ``reduce``
-result, and each relation of the integer engine must sum the inserted
-rows to zero.
+agree on every insert, the rank and the reduced rows; a probe must add a
+pivot exactly when the reference's ``reduce`` leaves a remainder, and
+each relation of the integer engine, the probe's included, must sum the
+inserted rows to zero.
 """
 
 from fractions import Fraction
@@ -80,23 +81,16 @@ def test_matches_the_rational_engine(rows, tagged, probe):
     assert reduced == ref.reduced_rows()
     assert all(type(x) is Fraction for r in reduced for x in r.values())
 
-    start = {} if tagged else None
-    remainder, combo = new.reduce(probe, start)
-    ref_remainder, ref_combo = ref.reduce(probe, start)
-    assert remainder == ref_remainder
-    assert combo == ref_combo
-    assert all(type(x) is Fraction for x in [*remainder.values(), *(combo or {}).values()])
-
     if tagged:
         assert len(new.relations) == len(ref.relations) == len(rows) - new.rank
+    ref_remainder, _ = ref.reduce(probe)
+    tag = len(rows) if tagged else None
+    assert new.insert(probe, tag) == bool(ref_remainder)
+    if tagged:
+        assert len(new.relations) == len(rows) + 1 - new.rank
         for relation in new.relations:
             assert relation and all(type(c) is int for c in relation.values())
-            assert combination_sum(relation, rows) == {}
-        # the remainder is the probe plus the combination of inserted rows
-        total = combination_sum(combo, rows)
-        for col, x in probe.items():
-            total[col] = total.get(col, 0) + x
-        assert {col: x for col, x in total.items() if x} == remainder
+            assert combination_sum(relation, [*rows, probe]) == {}
     else:
         assert new.relations == []
 
@@ -109,5 +103,6 @@ def test_a_tagged_row_carries_its_denominator():
     (relation,) = new.relations
     assert combination_sum(relation, rows) == {}
     assert relation in ({0: 2, 1: -3}, {0: -2, 1: 3})
-    remainder, combo = new.reduce({0: Fraction(5, 7)}, {})
-    assert remainder == {} and combo == {0: Fraction(-10, 7)}
+    # 5/7 = (10/7) * row0: the probe's relation is 7 * probe - 10 * row0
+    assert not new.insert({0: Fraction(5, 7)}, 2)
+    assert new.relations[-1] == {2: 7, 0: -10}
