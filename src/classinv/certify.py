@@ -81,7 +81,8 @@ keep; it is sound
 because those diagonals lie in Sp(n), so the invariants lie in the
 weight-zero space and span <= invariants <= kernel still holds exactly.
 Only sp's intermediate dim_history entries differ from an unfiltered
-walk (see Procesi, *Lie Groups*, 2007).
+walk (see Procesi, *Lie Groups*, 2007).  A finite group has no torus:
+the same enumerator gives every monomial weight 0 and keeps them all.
 
 Every rank here is one sparse ``exact.Echelon`` over rows keyed by
 monomial: product spans and decompositions insert expanded products, and
@@ -330,18 +331,11 @@ def _copy_exponents(n: int, c: int) -> tuple:
     return tuple(_exponents_desc(n, c))
 
 
-def _block_monomials(sig: SpaceSignature, comp: tuple) -> list[Monomial]:
-    parts = [_copy_exponents(sig.n, c) for c in comp]
-    out = [()]
-    for part in parts:
-        out = [a + b for a in out for b in part]
-    return out
-
-
 def _weight_zero_monomials(family: str, sig: SpaceSignature, comps: list) -> list[list]:
     """For each block of comps, the monomials the family's diagonal torus
-    fixes, in _block_monomials order; every block monomial for a finite
-    group.
+    fixes, in the order of the product over the copies of each copy's
+    exponent vectors (lex descending); every block monomial for a finite
+    group, which has no torus.
 
     Summed over the copies, each coordinate's exponent is even (o), each
     coordinate's covector exponent equals its vector exponent (gl), and
@@ -349,14 +343,13 @@ def _weight_zero_monomials(family: str, sig: SpaceSignature, comps: list) -> lis
     (sp).  A copy's exponent vector e gets an integer weight: for o the
     bitmask of its odd entries, combined by xor; for gl the entries of e,
     negated on vector copies, and for sp the pair differences, packed in
-    base 2d+1 (d the largest block degree) and combined by addition.
+    base 2d+1 (d the largest block degree) and combined by addition; for
+    a finite group 0.
     Each copy degree's exponent vectors are weighed once per call and
     side.  In a block, the copies before the last one of positive degree
     are enumerated with their weights, and the last one's exponent
     vectors are looked up by the weight they cancel.
     """
-    if family not in ("o", "gl", "sp"):
-        return [_block_monomials(sig, comp) for comp in comps]
     n, k = sig.n, sig.k
     if family == "o":
 
@@ -364,6 +357,8 @@ def _weight_zero_monomials(family: str, sig: SpaceSignature, comps: list) -> lis
             return sum(1 << a for a in range(n) if e[a] & 1)
 
         combine, cancel = xor, pos
+    elif family == "finite":
+        weigh, combine, cancel = (lambda vector, e: 0), add, neg
     else:
         base = 2 * max(map(sum, comps)) + 1
 

@@ -44,6 +44,7 @@ from .expr import (
     polynomial_terms,
 )
 from .groups import (
+    DEFAULT_CLOSURE_CAP,
     ClosureCapExceeded,
     GroupSpec,
     finite_group,
@@ -346,7 +347,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     parser.add_argument("--covectors", type=int, default=0)
     parser.add_argument("--vectors", type=int, default=0)
     parser.add_argument("--group-file", default=None)
-    parser.add_argument("--max-order", type=int, default=10_000)
+    parser.add_argument("--max-order", type=int, default=DEFAULT_CLOSURE_CAP)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
     parser.add_argument("--format", choices=["text", "json"], default="text")

@@ -141,14 +141,10 @@ class Matrix:
         a, b = self.entries, other.entries
         out = []
         for i in range(n):
-            arow = a[i * k : (i + 1) * k]
+            # the row's nonzero entries, each with the start of its row of b
+            nonzero = [(v, t * m) for t, v in enumerate(a[i * k : (i + 1) * k]) if v]
             for j in range(m):
-                s = ZERO
-                for t in range(k):
-                    avt = arow[t]
-                    if avt:
-                        s += avt * b[t * m + j]
-                out.append(s)
+                out.append(sum([v * b[at + j] for v, at in nonzero], ZERO))
         return Matrix(n, m, out)
 
     def transpose(self) -> "Matrix":

@@ -6,7 +6,9 @@ group of the standard alternating form (n even), and finite groups given
 by a list of generating matrices.  A finite group is closed by a
 breadth-first search over integer numerators with one common denominator
 per element, so the search multiplies no `Fraction`; the elements are
-handed out as `Matrix` objects.
+handed out as `Matrix` objects, with the position of each one's inverse
+in the list, found by the walk.  Every other element's inverse comes
+from `Matrix.inverse`.
 
 The library decides everything with the fixed exact elements of
 `small_integer_elements`.  The seeded samplers serve the tests only, as
@@ -126,15 +128,6 @@ def contains(spec: GroupSpec, g: Matrix) -> bool:
     return g in group_elements_matrices(spec)[0]
 
 
-def _element(spec: GroupSpec, g: Matrix) -> GroupElement:
-    if spec.family in ("o", "sp"):
-        F = form_matrix(spec.family, spec.n)
-        inv = F.transpose() @ g.transpose() @ F  # g^T F g = F and F^-1 = F^T
-    else:
-        inv = g.inverse()
-    return GroupElement(g, inv)
-
-
 def cayley(S: Matrix) -> Matrix:
     """(I - S)(I + S)^-1; raises SingularMatrixError when I + S is singular."""
     I = Matrix.identity(S.rows)
@@ -181,7 +174,7 @@ def sample_element(spec: GroupSpec, seed: int) -> GroupElement:
             raise ResampleLimitExceeded("could not draw an orthogonal non-permutation")
         if seed % 2:
             g = g @ _reflection(spec.n)
-        return _element(spec, g)
+        return GroupElement(g, g.inverse())
     if spec.family == "sp":
         J = symplectic_form_matrix(spec.n)
         for _ in range(RESAMPLE_LIMIT):
@@ -190,7 +183,7 @@ def sample_element(spec: GroupSpec, seed: int) -> GroupElement:
                 g = cayley(S)
             except SingularMatrixError:
                 continue
-            return _element(spec, g)
+            return GroupElement(g, g.inverse())
         raise ResampleLimitExceeded("could not draw a symplectic element")
     if spec.family == "gl":
         for _ in range(RESAMPLE_LIMIT):
@@ -201,14 +194,15 @@ def sample_element(spec: GroupSpec, seed: int) -> GroupElement:
                 ]
             )
             if g.is_invertible():
-                return _element(spec, g)
+                return GroupElement(g, g.inverse())
         raise ResampleLimitExceeded("could not draw an invertible matrix")
     elems = group_elements(spec)
     return elems[rng.randrange(len(elems))]
 
 
-def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP, inverses=None) -> list[Matrix]:
-    """All products of the generators, BFS order from the identity.
+def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> tuple:
+    """(elements, inverses): all products of the generators, BFS order from
+    the identity, and the position of each one's inverse.
 
     The generators must be invertible; a closed finite set of invertible
     matrices containing the identity contains every inverse, so this is
@@ -229,8 +223,8 @@ def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP, inverses=None) ->
     made into a Fraction once.
 
     Only the generators are inverted by elimination: each new p = x s
-    gets the key of its inverse inv(s) inv(x) as it is found, and a list
-    `inverses` receives the position of each element's inverse.
+    gets the key of its inverse inv(s) inv(x) as it is found.  Both
+    halves of the pair are tuples.
     """
     gens = list(generators)
     if not gens:
@@ -285,9 +279,7 @@ def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP, inverses=None) ->
                     order.append(p)
                     nxt.append(p)
         frontier = nxt
-    if inverses is not None:
-        position = {k: i for i, k in enumerate(order)}
-        inverses[:] = [position[inverse_of[k]] for k in order]
+    position = {k: i for i, k in enumerate(order)}
     made: dict = {}  # (numerator, q) -> Fraction
     out = []
     for nums, q in order:
@@ -298,18 +290,17 @@ def finite_closure(generators, cap: int = DEFAULT_CLOSURE_CAP, inverses=None) ->
                 f = made[x, q] = Fraction(x, q)
             entries.append(f)
         out.append(Matrix(n, n, entries))
-    return out
+    return tuple(out), tuple([position[inverse_of[k]] for k in order])
 
 
 @lru_cache(maxsize=None)
 def group_elements_matrices(spec: GroupSpec) -> tuple:
-    """(elements, inverses): a finite group's matrices in closure order, and
-    the position of each one's inverse."""
+    """`finite_closure` of a finite group's generators under its cap: its
+    matrices in closure order and the position of each one's inverse,
+    both tuples."""
     if spec.family != "finite":
         raise NotFiniteGroup(f"{spec.family} is not a finite family")
-    inverses: list = []
-    mats = tuple(finite_closure(spec.generators, spec.closure_cap, inverses))
-    return mats, tuple(inverses)
+    return finite_closure(spec.generators, spec.closure_cap)
 
 
 @lru_cache(maxsize=None)
@@ -398,4 +389,4 @@ def _classical_elements(family: str, n: int) -> tuple:
             out.append(_unit(n, {(0, 1): ONE}))
     for g in out:
         ensure(contains(spec, g), f"a built-in element is not in the {family} group")
-    return tuple(_element(spec, g) for g in out)
+    return tuple(GroupElement(g, g.inverse()) for g in out)

@@ -165,6 +165,13 @@ MUTANTS = (
         "Fraction(-c)",
         "f's relation a f + sum c_i product_i = 0 gives the coefficients -c_i / a",
     ),
+    Mutant(
+        "finite-weight-zero",
+        "certify.py",
+        "weigh, combine, cancel = (lambda vector, e: 0), add, neg",
+        "weigh, combine, cancel = (lambda vector, e: 1), add, neg",
+        "a finite group has no torus, so its kernel starts from every block monomial",
+    ),
 )
 
 

@@ -1,4 +1,5 @@
-"""Points of the representation space, and the monomials of one degree.
+"""Points of the representation space, and the monomials of one degree
+or of one block.
 
 The library never evaluates a polynomial or moves a point; the tests do,
 to check the action's convention against its meaning:
@@ -74,6 +75,16 @@ def transform_point(ctx, elem, point) -> list:
     base = sig.k * n
     for j in range(sig.m):
         out.extend(apply(elem.g, point[base + j * n : base + (j + 1) * n]))
+    return out
+
+
+def block_monomials(sig, comp) -> list:
+    """Every monomial of the block comp (one degree per copy): the product
+    over the copies of each copy's exponent vectors, lex descending."""
+    out = [()]
+    for c in comp:
+        part = list(_exponents_desc(sig.n, c))
+        out = [a + b for a in out for b in part]
     return out
 
 

@@ -13,7 +13,7 @@ invariance decisions.
 from fractions import Fraction
 
 from classinv.exact import Matrix
-from classinv.groups import GroupSpec, _element, group_elements, symplectic_form_matrix
+from classinv.groups import GroupElement, GroupSpec, group_elements, symplectic_form_matrix
 
 
 def _unit(n, entries):
@@ -79,4 +79,4 @@ def reference_elements(spec: GroupSpec):
     finite group, every element."""
     if spec.family == "finite":
         return list(group_elements(spec))
-    return [_element(spec, g) for g in reference_matrices(spec)]
+    return [GroupElement(g, g.inverse()) for g in reference_matrices(spec)]

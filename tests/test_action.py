@@ -28,7 +28,7 @@ from classinv.groups import (
 )
 from classinv.poly import Polynomial, SpaceSignature, VarKind, _exponents_desc
 
-from points import evaluate, monomial_basis, transform_point
+from points import block_monomials, evaluate, monomial_basis, transform_point
 from test_poly import rand_poly, rational_poly, substitute_by_forms
 
 
@@ -279,7 +279,7 @@ class TestExactAgainstSampled:
         last = generic[-1][0]
         moved = None
         for comp in _exponents_desc(sig.num_copies, d):
-            vecs = certify._orbit_kernel(certify._block_monomials(sig, comp), moves)
+            vecs = certify._orbit_kernel(block_monomials(sig, comp), moves)
             for _, cut in generic[:-1]:
                 vecs = certify._generic_cut(certify._cut_rows(ctx, cut), vecs)
             moved = moved or next(

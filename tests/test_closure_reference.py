@@ -10,10 +10,10 @@ conjugated by a rational diagonal so that their entries are 2 and 1/2,
 some with an element of infinite order mixed in, and the Weyl groups of
 the benchmark's group files.
 
-The inverse table the walk records (``finite_closure``'s ``inverses``,
-read by ``group_elements`` and a finite group's
-``small_integer_elements``) is checked on the same groups and on the
-half-swap group and the signed 3-cycle: every element's recorded
+The inverse table the walk records (the second half of what
+``finite_closure`` returns, read by ``group_elements`` and a finite
+group's ``small_integer_elements``) is checked on the same groups and on
+the half-swap group and the signed 3-cycle: every element's recorded
 inverse is its inverse by elimination, and their product is 1.
 """
 
@@ -43,7 +43,7 @@ SCALES = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)]
 
 
 def outcome(closure, gens, cap):
-    """The element list, or the refusal and its cap."""
+    """What the closure returns, or the refusal and its cap."""
     try:
         return closure(gens, cap)
     except ClosureCapExceeded as exc:
@@ -53,18 +53,20 @@ def outcome(closure, gens, cap):
 
 
 def assert_same_closure(gens, cap):
+    """The reference's element list, or the refusal both closures give."""
     got = outcome(finite_closure, gens, cap)
-    assert got == outcome(reference_closure, gens, cap)
-    if isinstance(got, list):
-        assert_inverse_table(gens, cap, got)
-    return got
+    want = outcome(reference_closure, gens, cap)
+    if not isinstance(want, list):
+        assert got == want
+        return got
+    assert got[0] == tuple(want)
+    assert_inverse_table(*got)
+    return want
 
 
-def assert_inverse_table(gens, cap, elems):
+def assert_inverse_table(elems, inverses):
     """The walk's inverse table lists, for each element, the position of
     the element that is its inverse by elimination."""
-    inverses = []
-    assert finite_closure(gens, cap, inverses) == elems
     assert len(inverses) == len(elems)
     ident = Matrix.identity(elems[0].rows)
     for g, i in zip(elems, inverses):

@@ -3,6 +3,9 @@ runs under ``python -O``: explicit ConsistencyError raises, no assert."""
 
 import ast
 import gc
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,6 +112,38 @@ def test_a_cut_that_grows_the_kernel_is_an_error(monkeypatch):
     monkeypatch.setattr(certify, "_generic_cut", growing_cut)
     with pytest.raises(ConsistencyError, match="grew the kernel"):
         certify.invariant_subspace_basis(orthogonal(2), SpaceSignature(2, 0, 1), 2)
+
+
+_UNDER_O = """
+import sys
+from classinv import certify
+from classinv.exact import ConsistencyError
+from classinv.groups import orthogonal
+from classinv.poly import SpaceSignature
+
+print("optimize", sys.flags.optimize)
+sig = SpaceSignature(2, 0, 1)
+certify._generic_cut = lambda rows, vectors: vectors + [dict(vectors[0])] if vectors else vectors
+try:
+    certify.invariant_subspace_basis(orthogonal(2), sig, 2)
+except ConsistencyError as exc:
+    print("cut", "grew the kernel" in str(exc))
+try:
+    certify.CertReport(orthogonal(2), sig, 2, 3, 1, 2, False, 0, 0, 0, (3, 1), ())
+except ValueError as exc:
+    print("report", "sandwich" in str(exc))
+"""
+
+
+def test_the_checks_run_under_python_O():
+    # the scan for assert statements implies this; here both refusals run
+    # in an interpreter that strips every assert
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.splitlines() == ["optimize 1", "cut True", "report True"]
 
 
 def test_a_built_in_element_outside_the_group_is_an_error(monkeypatch):

@@ -39,7 +39,7 @@ from classinv.poly import (
 )
 
 from oracle import invariant_dimension
-from points import monomial_basis
+from points import block_monomials, monomial_basis
 
 
 def vvar(sig, copy, coord):
@@ -326,7 +326,7 @@ class TestOrbitStage:
         assert pairs
         total = 0
         for comp in _exponents_desc(sig.num_copies, d):
-            monos = certify._block_monomials(sig, comp)
+            monos = block_monomials(sig, comp)
             orbit = certify._orbit_kernel(monos, [move for _, move in pairs])
             dense = [{mono: ONE} for mono in monos]
             for e, _ in pairs:
@@ -348,7 +348,7 @@ class TestCopyClasses:
         moves = [move for kind, move in table if kind == "orbit"]
         out = {}
         for comp in _exponents_desc(sig.num_copies, d):
-            monos = certify._block_monomials(sig, comp)
+            monos = block_monomials(sig, comp)
             vecs = certify._orbit_kernel(monos, moves)
             for cut in table:
                 if cut[0] != "orbit":
@@ -511,6 +511,17 @@ class TestWeightZero:
                 for mono in block:
                     moved = any(not fixed_by(s, mono) for s in scales)
                     assert moved != (mono in kept_set), (comp, mono)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_finite_group_keeps_every_block_monomial_in_order(self, n, k):
+        # a finite group has no torus: every monomial weighs 0
+        for m in range(not k, 4):
+            sig = SpaceSignature(n=n, k=k, m=m)
+            for d in range(5):
+                comps = list(_exponents_desc(sig.num_copies, d))
+                got = certify._weight_zero_monomials("finite", sig, comps)
+                assert got == [block_monomials(sig, comp) for comp in comps], (m, d)
 
 
 class TestOracleAgreement:

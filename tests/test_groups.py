@@ -170,25 +170,41 @@ class TestSampling:
         assert sample_element(spec, 41).g != sample_element(spec, 42).g
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [orthogonal(n) for n in range(1, 7)] + [symplectic(n) for n in (2, 4, 6)],
+    ids=[f"o{n}" for n in range(1, 7)] + [f"sp{n}" for n in (2, 4, 6)],
+)
+def test_inverses_are_the_form_adjoints(spec):
+    # every element's inverse comes from Matrix.inverse; for o and sp it
+    # must be F^T g^T F, since g^T F g = F and F^-1 = F^T
+    F = form_matrix(spec.family, spec.n)
+    ident = Matrix.identity(spec.n)
+    for el in small_integer_elements(spec) + [sample_element(spec, seed) for seed in range(20)]:
+        assert el.g_inv == F.transpose() @ el.g.transpose() @ F
+        assert el.g @ el.g_inv == ident
+
+
 class TestFiniteClosure:
     def test_sign_group(self):
-        elems = finite_closure([mat([[-1]])])
+        elems, inverses = finite_closure([mat([[-1]])])
         assert len(elems) == 2
+        assert inverses == (0, 1)
 
     def test_swap_group(self):
-        elems = finite_closure([mat([[0, 1], [1, 0]])])
+        elems, _ = finite_closure([mat([[0, 1], [1, 0]])])
         assert len(elems) == 2
 
     def test_full_sign_group_on_two_coords(self):
         gens = [mat([[-1, 0], [0, 1]]), mat([[1, 0], [0, -1]])]
-        assert len(finite_closure(gens)) == 4
+        assert len(finite_closure(gens)[0]) == 4
 
     def test_symmetric_group_three(self):
         gens = [
             mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
             mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
         ]
-        assert len(finite_closure(gens)) == 6
+        assert len(finite_closure(gens)[0]) == 6
 
     def test_infinite_generator_hits_cap(self):
         # the 384 signed permutations of 4 coordinates pass every trace
@@ -199,7 +215,7 @@ class TestFiniteClosure:
             swap[a][a] = swap[a + 1][a + 1] = 0
             swap[a][a + 1] = swap[a + 1][a] = 1
             gens.append(mat(swap))
-        assert len(finite_closure(gens, cap=384)) == 384
+        assert len(finite_closure(gens, cap=384)[0]) == 384
         with pytest.raises(ClosureCapExceeded):
             finite_closure(gens, cap=100)
 
@@ -221,15 +237,15 @@ class TestFiniteClosure:
             invariant_subspace_basis(finite_group([rot], cap=100), SpaceSignature(2, 0, 1), 2)
 
     def test_idempotent(self):
-        elems = finite_closure([mat([[0, 1], [1, 0]])])
-        again = finite_closure(elems)
+        elems, _ = finite_closure([mat([[0, 1], [1, 0]])])
+        again, _ = finite_closure(elems)
         assert len(again) == len(elems)
 
     def test_closure_contains_inverses(self):
-        elems = finite_closure([mat([[0, -1], [1, 0]])])  # order-4 rotation
+        elems, inverses = finite_closure([mat([[0, -1], [1, 0]])])  # order-4 rotation
         assert len(elems) == 4
-        for g in elems:
-            assert g.inverse() in elems
+        for g, i in zip(elems, inverses):
+            assert g.inverse() == elems[i]
 
     def test_group_elements_cached_pairs(self):
         spec = finite_group((mat([[-1]]),))
@@ -295,7 +311,7 @@ class TestSmallIntegerElements:
         def signed(gs):
             return [g for g in gs if _is_signed_permutation(g)]
 
-        closure = set(finite_closure(signed(el.g for el in small_integer_elements(spec))))
+        closure = set(finite_closure(signed(el.g for el in small_integer_elements(spec)))[0])
         assert len(closure) == order
         # every sign mask (o), every transposition, every -1 block and J (sp)
         full = signed(reference_matrices(spec))
